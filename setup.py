@@ -1,10 +1,11 @@
 """Build script.
 
 The package is pure Python plus one optional Cython extension holding the
-hot kernels of the semidefinite solver (scaled congruence representations
-and the Schur-complement assembly).  If Cython or a C compiler is missing
-the build falls back to the pure NumPy implementation of the same kernels;
-nothing outside ``qscramble.sdp._kernels`` changes.
+hot kernels of the semidefinite solver (svec/smat and the scaled congruence
+representations feeding the Schur complement).  The extension is built from
+the ``.pyx`` through Cython; if Cython or a C compiler is missing the build
+falls back to the pure NumPy implementation of the same kernels; nothing
+outside ``qscramble.sdp._kernels`` changes.
 """
 
 import os

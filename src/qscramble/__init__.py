@@ -17,7 +17,7 @@ from .channels import (ChoiState, PartitionSpec, PseudoDensityMatrix,
                        build_choi, build_pdm, haar_scrambled_baseline,
                        tripartite_mutual_information)
 from .steering import (Assemblage, BoundTrackingAccelerator,
-                       MeasurementSet, ScanAccelerator, WitnessRecord,
+                       MeasurementSet, WitnessRecord,
                        encode_and_evolve, minus_t3, reduce_assemblage,
                        temporal_steerable_weight, total_steerable_weight)
 from .sdp import (first_order_steering_weight, solve_steering_weight,
@@ -38,7 +38,7 @@ __all__ = [
     "ChoiState", "PartitionSpec", "PseudoDensityMatrix", "build_choi",
     "build_pdm", "haar_scrambled_baseline", "tripartite_mutual_information",
     "Assemblage", "BoundTrackingAccelerator", "MeasurementSet",
-    "ScanAccelerator", "WitnessRecord",
+    "WitnessRecord",
     "encode_and_evolve", "minus_t3", "reduce_assemblage",
     "temporal_steerable_weight", "total_steerable_weight",
     "first_order_steering_weight", "solve_steering_weight",

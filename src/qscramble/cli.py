@@ -43,8 +43,6 @@ def _add_scan_args(sub: argparse.ArgumentParser, model_choices) -> None:
     sub.add_argument("--sdp-tol", dest="sdp_gap_tol", type=float, default=None)
     sub.add_argument("--jobs", type=int, default=None,
                      help="worker processes for the time grid")
-    sub.add_argument("--no-accel", action="store_true",
-                     help="disable warm-started scan acceleration")
     sub.add_argument("--unitary-file", default=None,
                      help="plain-text unitary for --model unitary-file")
     sub.add_argument("--out", default=None, help="CSV output path")
@@ -58,8 +56,6 @@ def _config_from_args(args, defaults: Optional[dict] = None) -> ExperimentConfig
                   "t_start", "t_max", "points", "sdp_gap_tol", "jobs",
                   "unitary_file")}
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    if getattr(args, "no_accel", False):
-        overrides["accelerate"] = False
     if args.config:
         return ExperimentConfig.from_json(args.config, **overrides)
     base = dict(defaults or {})

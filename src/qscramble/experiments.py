@@ -22,8 +22,7 @@ import numpy as np
 from .qla import Propagator
 from .models import build_ising, build_syk, clifford_scan_unitary
 from .channels import PartitionSpec, build_choi, tripartite_mutual_information
-from .steering import (BoundTrackingAccelerator, MeasurementSet,
-                       ScanAccelerator, minus_t3)
+from .steering import BoundTrackingAccelerator, MeasurementSet, minus_t3
 
 CSV_HEADER = ["t", "minusI3", "minusT3", "IAC", "IAD",
               "TSWC", "TSWD", "TSWtot", "status"]
@@ -51,7 +50,6 @@ class ExperimentConfig:
     sdp_gap_tol: float = 1e-7
     unitary_file: Optional[str] = None
     jobs: int = 1
-    accelerate: bool = True
 
     def __post_init__(self):
         if self.model not in ("ising", "syk", "clifford", "unitary-file"):
@@ -206,7 +204,7 @@ def save_unitary_file(path: str, unitary: np.ndarray) -> None:
 
 def _witness_row(t: float, unitary: np.ndarray, partition: PartitionSpec,
                  ms: MeasurementSet, gap_tol: float,
-                 accel: Optional[ScanAccelerator]) -> ScanRow:
+                 accel: Optional[BoundTrackingAccelerator]) -> ScanRow:
     tmi = tripartite_mutual_information(build_choi(unitary), partition)
     try:
         rec = minus_t3(unitary, partition.region_c, partition.region_d,
@@ -236,7 +234,7 @@ def _scan_worker_chunk(times: Sequence[float]) -> List[ScanRow]:
     prop: Propagator = _worker_state["prop"]
     partition = PartitionSpec.leading(config.n, config.resolved_n_c())
     ms = MeasurementSet.pauli(config.measurements)
-    accel = BoundTrackingAccelerator() if config.accelerate else None
+    accel = BoundTrackingAccelerator()
     return [_witness_row(t, prop.unitary(t), partition, ms,
                          config.sdp_gap_tol, accel) for t in times]
 
@@ -244,9 +242,11 @@ def _scan_worker_chunk(times: Sequence[float]) -> List[ScanRow]:
 def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
     """Evaluate both witnesses over the configured time grid.
 
-    With ``jobs > 1`` the grid is split into contiguous chunks handled by
-    worker processes; each chunk keeps its own warm-start state so results
-    do not depend on scheduling.
+    ``progress(done, total)``, if given, is called after each grid point,
+    or after each chunk when ``jobs > 1``.  With ``jobs > 1`` the grid is
+    split into contiguous chunks handled by worker processes; each chunk
+    tracks its own large-region bounds, so results do not depend on
+    scheduling.
     """
     if config.model == "clifford":
         return run_clifford_scan(config)
@@ -266,7 +266,7 @@ def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
 
     jobs = max(1, config.jobs)
     if jobs == 1:
-        accel = BoundTrackingAccelerator() if config.accelerate else None
+        accel = BoundTrackingAccelerator()
         rows = []
         for i, t in enumerate(times):
             rows.append(_witness_row(float(t), prop.unitary(float(t)),
@@ -283,6 +283,8 @@ def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
         for part in pool.map(_scan_worker_chunk,
                              [list(map(float, c)) for c in chunks]):
             rows.extend(part)
+            if progress is not None:
+                progress(len(rows), len(times))
     return ScramblingReport(config, rows)
 
 

@@ -246,20 +246,6 @@ class Propagator:
         phases = np.exp(-1j * self.evals * t)
         return (self.evecs * phases) @ self.evecs.conj().T
 
-    def evolve(self, dm: DensityMatrix, t: float) -> DensityMatrix:
-        u = self.unitary(t)
-        return DensityMatrix(u @ dm.matrix @ u.conj().T, dm.register)
-
-
-def evolve(dm: DensityMatrix, hamiltonian, t: float) -> DensityMatrix:
-    """Evolve ``dm`` for time ``t`` under ``hamiltonian``.
-
-    ``hamiltonian`` may be a Hermitian matrix or a pre-built
-    :class:`Propagator`; pass the latter when evolving to many times.
-    """
-    prop = hamiltonian if isinstance(hamiltonian, Propagator) else Propagator(hamiltonian)
-    return prop.evolve(dm, t)
-
 
 def von_neumann_entropy(dm, base: float = 2.0) -> float:
     """Von Neumann entropy, in bits by default.
@@ -299,7 +285,3 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> ComplexMatrix:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     w = g @ g.conj().T
     return w / np.trace(w).real
-
-
-def dagger(mat: ComplexMatrix) -> ComplexMatrix:
-    return mat.conj().T

@@ -26,4 +26,3 @@ svec_indices = _kernels_py.svec_indices
 svec = _impl.svec
 smat = _impl.smat
 congruence_rep = _impl.congruence_rep
-add_scaled_block = _kernels_py.add_scaled_block

@@ -89,9 +89,3 @@ def congruence_rep(a: np.ndarray) -> np.ndarray:
     cols_im = 1j * (m_ij - m_ji) / _SQRT2
     out = np.concatenate([cols_d, cols_re, cols_im], axis=1)
     return np.ascontiguousarray(out.real)
-
-
-def add_scaled_block(m: np.ndarray, i0: int, j0: int, block: np.ndarray) -> None:
-    """M[i0:, j0:] += block, in place (thin helper so backends match)."""
-    si, sj = block.shape
-    m[i0:i0 + si, j0:j0 + sj] += block

@@ -20,7 +20,6 @@ adds no work.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,7 +30,7 @@ from .strategies import DeterministicStrategy, enumerate_strategies
 
 #: refuse interior-point solves whose dense Schur factor would not fit in
 #: memory; 64-dimensional members need ~4.8 GB, well past a small box
-_SCHUR_BYTE_CAP = float(os.environ.get("QSCRAMBLE_SCHUR_CAP_BYTES", 2e9))
+_SCHUR_BYTE_CAP = 2e9
 
 SUPPORT_RTOL = 1e-10
 DROP_TRACE = 1e-12
@@ -225,8 +224,7 @@ def solve_steering_weight(members, gap_tol: float = ipm.DEFAULT_GAP_TOL,
         raise ipm.NumericalFailure(
             f"Schur system {schur_dim}x{schur_dim} needs "
             f"~{schur_dim ** 2 * 8 / 1e9:.1f} GB; member dimension {d} is "
-            "past the interior-point envelope (scan large regions with "
-            "BoundTrackingAccelerator instead)")
+            "past the interior-point envelope")
 
     # conic blocks: one per surviving strategy, then one slack per kept member
     var_sizes, c_blocks = [], []

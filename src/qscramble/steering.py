@@ -30,6 +30,7 @@ from .qla import ComplexMatrix, DensityMatrix, QubitRegister, kron, partial_trac
 from .models import haar_random_unitary, pauli_matrix
 from .sdp import SdpSolution, solve_steering_weight
 from .sdp.ipm import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL, NumericalFailure
+from .sdp.strategies import enumerate_strategies
 
 _PAULI_BY_AXIS = {"x": pauli_matrix("X"), "y": pauli_matrix("Y"),
                   "z": pauli_matrix("Z")}
@@ -217,29 +218,32 @@ def minus_t3(unitary: ComplexMatrix, region_c: Sequence[str],
              region_d: Sequence[str],
              measurements: Optional[MeasurementSet] = None,
              gap_tol: float = DEFAULT_GAP_TOL,
-             accelerator: Optional["ScanAccelerator"] = None) -> WitnessRecord:
+             accelerator: Optional[BoundTrackingAccelerator] = None
+             ) -> WitnessRecord:
     """Temporal-steering scrambling witness of a unitary.
 
     -T3 = TSW[total] - TSW[C] - TSW[D] for the measure-then-evolve
-    protocol on the maximally mixed register.  ``accelerator`` optionally
-    reuses the previous time step's hidden-state model (see
-    :class:`ScanAccelerator`); results are certificate-gated so the
-    reported weights are unchanged within solver tolerance.
+    protocol on the maximally mixed register.  The region size picks the
+    path: regions of member dimension up to ``EXACT_DIM`` are solved
+    exactly by the interior-point SDP, larger ones get a certified upper
+    bound from ``accelerator`` (status "bounded").  Pass one
+    :class:`BoundTrackingAccelerator` along a scan so each bound starts
+    from the previous grid point's model; without one a fresh bounder is
+    used.
     """
     ms = measurements or MeasurementSet.pauli()
+    if accelerator is None:
+        accelerator = BoundTrackingAccelerator()
     total = encode_and_evolve(unitary, ms)
     tsw_tot = total_steerable_weight(ms, gap_tol=gap_tol)
     parts = {}
     for name, region in (("C", tuple(region_c)), ("D", tuple(region_d))):
         asm = reduce_assemblage(total, region)
         try:
-            sol = None
-            if accelerator is not None:
-                sol = accelerator.try_solve(name, asm, gap_tol)
-            if sol is None:
+            if asm.dim <= EXACT_DIM:
                 sol = solve_steering_weight(asm.members, gap_tol=gap_tol)
-                if accelerator is not None:
-                    accelerator.store(name, sol)
+            else:
+                sol = accelerator.try_solve(name, asm, gap_tol)
         except NumericalFailure as exc:
             raise NumericalFailure(f"region {name}: {exc}") from exc
         parts[name] = sol
@@ -270,154 +274,38 @@ def tsw_unitary_invariance_check(assemblage: Assemblage, seeds=(0, 1, 2),
     return worst
 
 
-class ScanAccelerator:
-    """Certificate-gated warm start for time scans.
-
-    Keeps the latest hidden-state decomposition per region.  For the next
-    time step the stored model is polished by a few projected splitting
-    sweeps, scaled into strict feasibility, and accepted only when the
-    rigorous feasible weight it certifies lies within ``margin`` of the
-    stored optimum; otherwise the interior-point solver runs normally.
-    On smooth scans deep in the scrambled phase this skips most solves
-    without moving any reported value beyond solver tolerance.
-    """
-
-    def __init__(self, margin: float = 5e-8, polish_iters: int = 60):
-        self.margin = margin
-        self.polish_iters = polish_iters
-        self._models: Dict[str, List[np.ndarray]] = {}
-        self._values: Dict[str, float] = {}
-
-    def store(self, key: str, sol: SdpSolution) -> None:
-        self._models[key] = [h.copy() for h in sol.hidden_states]
-        self._values[key] = sol.mu_star
-
-    def try_solve(self, key: str, assemblage: Assemblage,
-                  gap_tol: float) -> Optional[SdpSolution]:
-        model = self._models.get(key)
-        if model is None or self._values.get(key, 0.0) < 1.0 - self.margin:
-            return None
-        polished = self._polish(assemblage, model)
-        if polished is None:
-            return None
-        mu, hidden = polished
-        if mu < 1.0 - self.margin:
-            return None
-        self._models[key] = hidden
-        self._values[key] = mu
-        # no dual certificate here: the feasible model alone bounds the
-        # weight inside [0, 1 - mu], which the margin keeps below gap_tol
-        return SdpSolution(mu, hidden, None, "Optimal", 1.0 - mu, 0)
-
-    def _polish(self, assemblage: Assemblage, model: List[np.ndarray],
-                iters: Optional[int] = None):
-        """Feasibility polish of a candidate local model.
-
-        Alternates a projection onto the member caps with a PSD clip,
-        then scales uniformly until sum_lam D sigma_lam <= sigma_{a|x}
-        holds exactly; returns the certified feasible weight.
-        """
-        from .sdp.strategies import enumerate_strategies
-
-        members = assemblage.members
-        n_set = len(members)
-        n_out = len(members[0])
-        strategies = enumerate_strategies(n_set, n_out)
-        hidden = [h.copy() for h in model]
-        for _ in range(iters or self.polish_iters):
-            moved = 0.0
-            for x in range(n_set):
-                for a in range(n_out):
-                    sel = [s.index for s in strategies if s.outcomes[x] == a]
-                    total = sum(hidden[i] for i in sel)
-                    excess = total - members[x][a]
-                    evals, evecs = np.linalg.eigh(excess)
-                    pos = np.clip(evals, 0.0, None)
-                    if pos.max() <= 0.0:
-                        continue
-                    moved = max(moved, float(pos.max()))
-                    corr = (evecs * pos) @ evecs.conj().T / len(sel)
-                    for i in sel:
-                        h = hidden[i] - corr
-                        ev, vec = np.linalg.eigh(0.5 * (h + h.conj().T))
-                        hidden[i] = (vec * np.clip(ev, 0.0, None)) @ vec.conj().T
-            if moved < 1e-14:
-                break
-        return self._certify(assemblage, hidden)
-
-    def _certify(self, assemblage: Assemblage, hidden: List[np.ndarray]):
-        """Rigorous feasible mass of a candidate local model.
-
-        Clips every state to the PSD cone, then removes any remaining
-        constraint violation v by the exact bound v*I <= (v/f)*sigma_{a|x}
-        with f the smallest member eigenvalue, so dividing the model by
-        (1 + v/f) is provably feasible.  Returns (mass, model) or None
-        when a member is too close to singular for that argument.
-        """
-        from .sdp.strategies import enumerate_strategies
-
-        members = assemblage.members
-        n_set = len(members)
-        n_out = len(members[0])
-        strategies = enumerate_strategies(n_set, n_out)
-        clipped = []
-        for h in hidden:
-            ev, vec = np.linalg.eigh(0.5 * (h + h.conj().T))
-            clipped.append((vec * np.clip(ev, 0.0, None)) @ vec.conj().T)
-        vio, floor = 0.0, np.inf
-        for x in range(n_set):
-            for a in range(n_out):
-                sel = [s.index for s in strategies if s.outcomes[x] == a]
-                gap = members[x][a] - sum(clipped[i] for i in sel)
-                vio = max(vio, -float(np.linalg.eigvalsh(
-                    0.5 * (gap + gap.conj().T))[0]))
-                floor = min(floor, float(np.linalg.eigvalsh(members[x][a])[0]))
-        scale = 1.0
-        if vio > 0.0:
-            if floor <= 4.0 * vio:
-                return None
-            scale = 1.0 / (1.0 + vio / floor)
-        clipped = [scale * h for h in clipped]
-        for x in range(n_set):
-            for a in range(n_out):
-                sel = [s.index for s in strategies if s.outcomes[x] == a]
-                gap = members[x][a] - sum(clipped[i] for i in sel)
-                if float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[0]) < -1e-12:
-                    return None
-        mu = float(sum(np.trace(h).real for h in clipped))
-        return mu, clipped
-
+#: largest member dimension that minus_t3 solves exactly with the
+#: interior-point method; larger regions get a certified bound instead
+EXACT_DIM = 32
+#: widest accepted bound 1 - m on the steerable weight of a large region
+BOUND_TOL = 1e-6
+#: averaged-reflection rounds per bounded solve
+MAX_ROUNDS = 4000
 
 _SELECTION_CACHE: Dict[Tuple[int, int], tuple] = {}
 
 
-class BoundTrackingAccelerator(ScanAccelerator):
-    """Scan accelerator with certified weight bounds for large regions.
+class BoundTrackingAccelerator:
+    """Certified steerable-weight bounds for regions past the exact solver.
 
-    Regions up to ``exact_dim`` get the usual certificate-gated warm
-    start backed by the interior-point solver.  Larger regions are past
-    that solver's memory envelope; for them the weight is bounded by an
-    explicit local model with mass m, which proves TSW <= 1 - m.  The
-    model is found by exploiting that such regions stay near the trivial
-    assemblage sigma_{a|x} ~ p(a|x) I/d on scrambling scans: the
-    least-norm solution of the exact decomposition sum_lam D sigma_lam =
-    sigma_{a|x} (mass exactly 1) is refined into the PSD cone by
-    averaged alternating reflections between the cone and the affine
-    constraint set, then certified by :meth:`ScanAccelerator._certify`.
-    Points are accepted only when 1 - m <= ``bound_tol`` and reported
-    with status "Bounded", the interval width in ``gap``, and the upper
-    bound 1 - m as the weight; others fail like any solver failure.
-    The reflection state is carried between points, so consecutive grid
-    times cost only a few sweeps deep in the scrambled phase.
+    Regions above ``EXACT_DIM`` are past the interior-point solver's
+    memory envelope; for them the weight is bounded by an explicit local
+    model with mass m, which proves TSW <= 1 - m.  The model is found by
+    exploiting that such regions stay near the trivial assemblage
+    sigma_{a|x} ~ p(a|x) I/d on scrambling scans: the least-norm solution
+    of the exact decomposition sum_lam D sigma_lam = sigma_{a|x} (mass
+    exactly 1) is refined into the PSD cone by averaged alternating
+    reflections between the cone and the affine constraint set, then
+    certified by :meth:`_certify`.  Points are accepted only when
+    1 - m <= ``BOUND_TOL`` and reported with status "Bounded", the
+    interval width in ``gap``, and the upper bound 1 - m as the weight;
+    others fail like any solver failure.  The reflection state is carried
+    between calls per region key, so one instance should follow a scan's
+    grid: consecutive grid times then cost only a few sweeps deep in the
+    scrambled phase.
     """
 
-    def __init__(self, margin: float = 5e-8, polish_iters: int = 60,
-                 exact_dim: int = 32, bound_tol: float = 1e-6,
-                 max_rounds: int = 4000):
-        super().__init__(margin=margin, polish_iters=polish_iters)
-        self.exact_dim = exact_dim
-        self.bound_tol = bound_tol
-        self.max_rounds = max_rounds
+    def __init__(self):
         self._tracked: Dict[str, List[np.ndarray]] = {}
 
     @staticmethod
@@ -428,8 +316,6 @@ class BoundTrackingAccelerator(ScanAccelerator):
         cached = _SELECTION_CACHE.get(key)
         if cached is not None:
             return cached
-        from .sdp.strategies import enumerate_strategies
-
         strategies = enumerate_strategies(n_set, n_out)
         n_strat = len(strategies)
         sel = []
@@ -465,9 +351,10 @@ class BoundTrackingAccelerator(ScanAccelerator):
         return hidden
 
     def try_solve(self, key: str, assemblage: Assemblage,
-                  gap_tol: float) -> Optional[SdpSolution]:
-        if assemblage.dim <= self.exact_dim:
-            return super().try_solve(key, assemblage, gap_tol)
+                  gap_tol: float) -> SdpSolution:
+        """Certified bound on the weight of ``assemblage``, tracked under
+        ``key``; raises :class:`NumericalFailure` past ``BOUND_TOL``.
+        ``gap_tol`` is unused: the bound's width is set by BOUND_TOL."""
         d = assemblage.dim
         n_set, n_out = assemblage.n_settings, assemblage.n_outcomes
         sel, pinv = self._selection(n_set, n_out)
@@ -483,29 +370,61 @@ class BoundTrackingAccelerator(ScanAccelerator):
             if seed is None:
                 seed = self._seed(flat, sel, pinv, len(pinv), d)
             state, hidden = self._reflect(flat, sel, pinv, seed, floor)
-            cert = self._certify(assemblage, hidden)
+            cert = self._certify(flat, sel, hidden, floor)
             if cert is not None and (best is None or cert[0] > best[0]):
                 best = (cert[0], cert[1], state)
-            if best is not None and best[0] >= 1.0 - self.bound_tol:
+            if best is not None and best[0] >= 1.0 - BOUND_TOL:
                 break
-        if best is None or best[0] < 1.0 - self.bound_tol:
+        if best is None or best[0] < 1.0 - BOUND_TOL:
             got = "none" if best is None else f"{best[0]:.9f}"
             raise NumericalFailure(
                 f"local model certifies only mass {got} at member "
-                f"dimension {d}; weight bound exceeds {self.bound_tol:g}")
+                f"dimension {d}; weight bound exceeds {BOUND_TOL:g}")
         mu, hidden, state = best
         self._tracked[key] = state
         return SdpSolution(mu, hidden, None, "Bounded", 1.0 - mu, 0)
+
+    def _certify(self, flat_members, sel, hidden: List[np.ndarray],
+                 floor: float):
+        """Rigorous feasible mass of a candidate local model.
+
+        Clips every state to the PSD cone, then removes any remaining
+        constraint violation v by the exact bound v*I <= (v/f)*sigma_{a|x}
+        with f = ``floor``, the smallest member eigenvalue, so dividing
+        the model by (1 + v/f) is provably feasible.  Returns (mass, model)
+        or None when a member is too close to singular for that argument.
+        """
+        clipped = []
+        for h in hidden:
+            ev, vec = np.linalg.eigh(0.5 * (h + h.conj().T))
+            clipped.append((vec * np.clip(ev, 0.0, None)) @ vec.conj().T)
+        vio = 0.0
+        for idx, m in zip(sel, flat_members):
+            gap = m - sum(clipped[i] for i in idx)
+            vio = max(vio, -float(np.linalg.eigvalsh(
+                0.5 * (gap + gap.conj().T))[0]))
+        scale = 1.0
+        if vio > 0.0:
+            if floor <= 4.0 * vio:
+                return None
+            scale = 1.0 / (1.0 + vio / floor)
+        clipped = [scale * h for h in clipped]
+        for idx, m in zip(sel, flat_members):
+            gap = m - sum(clipped[i] for i in idx)
+            if float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[0]) < -1e-12:
+                return None
+        mu = float(sum(np.trace(h).real for h in clipped))
+        return mu, clipped
 
     def _reflect(self, flat_members, sel, pinv, state: List[np.ndarray],
                  floor: float):
         """Averaged alternating reflections toward the exact-equality
         PSD model; returns (driver state, affine-exact iterate)."""
-        target = max(0.25 * self.bound_tol * max(floor, 0.0), 1e-13)
+        target = max(0.25 * BOUND_TOL * max(floor, 0.0), 1e-13)
         state = [s.copy() for s in state]
         best_vio, stale = np.inf, 0
         shadow = state
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             shadow = self._project_affine(flat_members, sel, pinv, state)
             vio = 0.0
             reflected = []

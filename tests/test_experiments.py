@@ -106,6 +106,14 @@ def test_run_scan_worker_pool_is_order_deterministic():
     assert seq.to_csv() == par.to_csv()
 
 
+def test_run_scan_worker_pool_reports_progress():
+    calls = []
+    cfg = ExperimentConfig(model="ising", n=3, g=1.0, h=0.5, points=6,
+                           t_max=3.0, jobs=2)
+    run_scan(cfg, progress=lambda done, total: calls.append((done, total)))
+    assert calls and calls[-1] == (6, 6)
+
+
 def test_run_scan_from_unitary_file(tmp_path, rng):
     path = tmp_path / "u.txt"
     save_unitary_file(str(path), haar_random_unitary(8, rng))
@@ -119,8 +127,7 @@ def test_run_scan_from_unitary_file(tmp_path, rng):
 
 def test_run_scan_records_per_row_failures(monkeypatch):
     monkeypatch.setattr(sdp_problem, "_SCHUR_BYTE_CAP", 1.0)
-    cfg = ExperimentConfig(model="ising", n=3, points=3, t_max=2.0,
-                           accelerate=False)
+    cfg = ExperimentConfig(model="ising", n=3, points=3, t_max=2.0)
     report = run_scan(cfg)  # must complete despite every solve failing
     assert len(report.rows) == 3
     for row in report.rows:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qscramble.qla import (DensityMatrix, Propagator, QubitRegister, evolve,
+from qscramble.qla import (DensityMatrix, Propagator, QubitRegister,
                            hermitian_eig, kron, mutual_information,
                            partial_trace, partial_transpose,
                            random_density_matrix, von_neumann_entropy)
@@ -157,16 +157,6 @@ def test_propagator_group_property(rng):
     u1, u2, u3 = prop.unitary(0.4), prop.unitary(1.1), prop.unitary(1.5)
     np.testing.assert_allclose(u2 @ u1, u3, atol=1e-12)
     np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(4), atol=1e-12)
-
-
-def test_evolve_conjugates(rng):
-    h = rng.normal(size=(4, 4))
-    h = (h + h.T).astype(complex)
-    dm = DensityMatrix(random_density_matrix(4, rng), ["q1", "q2"])
-    out = evolve(dm, h, 0.7)
-    u = Propagator(h).unitary(0.7)
-    np.testing.assert_allclose(out.matrix, u @ dm.matrix @ u.conj().T,
-                               atol=1e-12)
 
 
 def test_hermitian_eig_check(rng):

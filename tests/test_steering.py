@@ -9,7 +9,7 @@ from qscramble.qla import Propagator
 from qscramble.sdp import NumericalFailure
 from qscramble.sdp import problem as sdp_problem
 from qscramble.steering import (Assemblage, BoundTrackingAccelerator,
-                                MeasurementSet, ScanAccelerator,
+                                MeasurementSet,
                                 encode_and_evolve, minus_t3,
                                 reduce_assemblage, temporal_steerable_weight,
                                 total_steerable_weight,
@@ -130,33 +130,22 @@ def test_local_unitary_cannot_scramble(rng):
     assert abs(rec.minus_t3) < 2e-6
 
 
-def test_scan_accelerator_matches_cold_solves():
-    prop = Propagator(build_ising(3, 1.0, 0.5).matrix())
-    accel = ScanAccelerator()
-    for t in (0.0, 0.4, 0.8, 1.2):
-        u = prop.unitary(t)
-        warm = minus_t3(u, ("q1", "q2"), ("q3",), accelerator=accel)
-        cold = minus_t3(u, ("q1", "q2"), ("q3",))
-        assert warm.minus_t3 == pytest.approx(cold.minus_t3, abs=5e-6)
-        assert warm.tsw_c == pytest.approx(cold.tsw_c, abs=5e-6)
-        assert warm.tsw_d == pytest.approx(cold.tsw_d, abs=5e-6)
-
-
 def test_bound_tracker_small_dims_defer_to_exact():
     prop = Propagator(build_ising(3, 1.0, 0.5).matrix())
     accel = BoundTrackingAccelerator()
     rec = minus_t3(prop.unitary(0.8), ("q1", "q2"), ("q3",), accelerator=accel)
-    assert rec.status in ("ok", "bounded")
-    cold = minus_t3(prop.unitary(0.8), ("q1", "q2"), ("q3",))
-    assert rec.minus_t3 == pytest.approx(cold.minus_t3, abs=5e-6)
+    assert rec.status == "ok"
+    assert rec == minus_t3(prop.unitary(0.8), ("q1", "q2"), ("q3",))
 
 
-def test_bound_tracker_certifies_large_region():
+@pytest.mark.parametrize("accelerator", [BoundTrackingAccelerator(), None],
+                         ids=["given", "default"])
+def test_bound_tracker_certifies_large_region(accelerator):
     # region D has dimension 64: the interior point method is out of its
     # envelope there, but a certified local model pins TSW_D ~ 0
     prop = Propagator(build_ising(8, 1.0, 0.5).matrix())
     rec = minus_t3(prop.unitary(2.0), ("q1", "q2"), tuple(
-        f"q{i}" for i in range(3, 9)), accelerator=BoundTrackingAccelerator())
+        f"q{i}" for i in range(3, 9)), accelerator=accelerator)
     assert rec.status == "bounded"
     assert 0.0 <= rec.tsw_d <= 1e-6
     assert rec.minus_t3 == pytest.approx(
