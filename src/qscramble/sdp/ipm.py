@@ -16,6 +16,12 @@ complement over the constraint blocks in svec coordinates, a Mehrotra
 second-order corrector, and fraction-to-the-boundary steps with a
 backtracking safeguard.  Everything is deterministic; identical inputs
 produce identical iterates.
+
+The variable blocks are held as (B, d, d) stacks, one per block size, so
+the Cholesky factors, the NT-scaling SVDs, the corrector's scaled-frame
+products, the step lengths and the backtracking PSD check each run once
+per stack through NumPy's broadcasting ``linalg``.  The linear maps and
+the Schur assembly see the same blocks as a per-block list of views.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from ._kernels import congruence_rep, smat, svec
 
@@ -32,6 +38,7 @@ DEFAULT_GAP_TOL = 1e-7
 DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 _STEP_FRACTION = 0.98
+_BACKTRACK_ROUNDS = 40
 
 
 class NumericalFailure(RuntimeError):
@@ -56,8 +63,13 @@ class ConicResult:
     history: List[Tuple[float, float, float]] = field(default_factory=list, repr=False)
 
 
+def _ct(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a block or of every block in a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
 def _herm(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().T)
+    return 0.5 * (x + _ct(x))
 
 
 def _inner(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> float:
@@ -81,14 +93,54 @@ def _chol_psd(mat: np.ndarray) -> np.ndarray:
     raise NumericalFailure("cone block lost positive definiteness")
 
 
-def _max_step(l_factor: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with X + alpha * delta still PSD, X = L L^dag."""
-    t = solve_triangular(l_factor, delta, lower=True, check_finite=False)
-    s = solve_triangular(l_factor, t.conj().T, lower=True, check_finite=False)
-    lam = np.linalg.eigvalsh(_herm(s.conj().T))[0]
+def _chol_stack(stack: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack; the jitter ladder block by block if any fails."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return np.stack([_chol_psd(m) for m in stack])
+
+
+def _step_length(l_inv: Sequence[np.ndarray],
+                 delta: Sequence[np.ndarray]) -> float:
+    """Largest alpha with X + alpha * delta PSD in every block.
+
+    ``l_inv`` holds the inverse Cholesky factors of X, stack by stack:
+    the step is -1 / lambda_min(L^-1 delta L^-dag) over all blocks, or
+    infinite when no eigenvalue is negative.
+    """
+    lam = min((float(np.linalg.eigvalsh(_herm(li @ d @ _ct(li)))[:, 0].min())
+               for li, d in zip(l_inv, delta)), default=np.inf)
     if lam >= 0.0:
         return np.inf
     return -1.0 / lam
+
+
+def _all_pd(stacks: Sequence[np.ndarray]) -> bool:
+    """True when every block of every stack has a positive eigenvalue floor."""
+    return all(bool((np.linalg.eigvalsh(s)[:, 0] > 0.0).all()) for s in stacks)
+
+
+class _Stacks:
+    """Variable blocks grouped by size: one (B, d, d) stack per size."""
+
+    def __init__(self, sizes: Sequence[int]):
+        groups: dict = {}
+        for k, s in enumerate(sizes):
+            groups.setdefault(s, []).append(k)
+        self.groups = list(groups.values())
+        self.n_blocks = len(sizes)
+
+    def stack(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
+        return [np.stack([blocks[k] for k in ks]) for ks in self.groups]
+
+    def unstack(self, stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Per-block views into the stacks, in variable order."""
+        out: list = [None] * self.n_blocks
+        for ks, st in zip(self.groups, stacks):
+            for k, m in zip(ks, st):
+                out[k] = m
+        return out
 
 
 class ConicSolver:
@@ -174,13 +226,23 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
                 callback=None) -> ConicResult:
     """Run the predictor-corrector iteration to convergence."""
     prob = ConicSolver(var_sizes, con_sizes, c_blocks, b_blocks, rows)
+    blocks = _Stacks(prob.var_sizes)
     nu = float(sum(prob.var_sizes))
-    x = [np.eye(s, dtype=complex) for s in prob.var_sizes]
-    z = [np.eye(s, dtype=complex) for s in prob.var_sizes]
+    c = blocks.stack(prob.c)
+    x = [np.tile(np.eye(m.shape[-1], dtype=complex), (len(m), 1, 1)) for m in c]
+    z = [m.copy() for m in x]
     y = [np.zeros((s, s), dtype=complex) for s in prob.con_sizes]
 
     b_norm = 1.0 + np.sqrt(sum(np.linalg.norm(m) ** 2 for m in prob.b))
     c_norm = 1.0 + np.sqrt(sum(np.linalg.norm(m) ** 2 for m in prob.c))
+
+    def residuals(x, y, z):
+        rp = [prob.b[r] - m for r, m in enumerate(prob.aop(blocks.unstack(x)))]
+        atj = blocks.stack(prob.aadj(y))
+        rd = [cg - ag - zg for cg, ag, zg in zip(c, atj, z)]
+        pinf = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in rp)) / b_norm
+        dinf = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in rd)) / c_norm
+        return rp, rd, pinf, dinf
 
     status = "MaxIterations"
     history: List[Tuple[float, float, float]] = []
@@ -189,36 +251,30 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
     stall = 0
     for it in range(1, max_iter + 1):
         try:
-            lx = [_chol_psd(m) for m in x]
-            lz = [_chol_psd(m) for m in z]
+            lx = [_chol_stack(m) for m in x]
+            lz = [_chol_stack(m) for m in z]
         except NumericalFailure:
             status = "NumericalFailure"
             break
+        # NT scaling per stack: x = R diag(sig) R^dag, z = R^-dag diag(sig) R^-1
         rw, rw_inv, sig = [], [], []
-        for k in range(len(x)):
-            g = lz[k].conj().T @ lx[k]
-            u, s, vh = np.linalg.svd(g)
+        for l_x, l_z in zip(lx, lz):
+            u, s, vh = np.linalg.svd(_ct(l_z) @ l_x)
             if s.min() <= 0.0:
                 status = "NumericalFailure"
                 break
-            inv_sqrt = 1.0 / np.sqrt(s)
-            rw.append(lx[k] @ vh.conj().T * inv_sqrt)
-            rw_inv.append((u * inv_sqrt).conj().T @ lz[k].conj().T)
+            inv_sqrt = 1.0 / np.sqrt(s)[:, None, :]
+            rw.append(l_x @ _ct(vh) * inv_sqrt)
+            rw_inv.append(_ct(u * inv_sqrt) @ _ct(l_z))
             sig.append(s)
-        else:
-            pass
         if status == "NumericalFailure":
             break
 
-        abs_gap = float(sum(np.dot(s, s) for s in sig))
+        abs_gap = float(sum(np.vdot(s, s) for s in sig))
         mu = abs_gap / nu
-        rp = [prob.b[r] - m for r, m in enumerate(prob.aop(x))]
-        atj = prob.aadj(y)
-        rd = [prob.c[k] - atj[k] - z[k] for k in range(len(x))]
-        pobj = _inner(prob.c, x)
+        rp, rd, pinf, dinf = residuals(x, y, z)
+        pobj = _inner(c, x)
         dobj = _inner(prob.b, y)
-        pinf = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in rp)) / b_norm
-        dinf = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in rd)) / c_norm
         rel_gap = abs_gap / (1.0 + abs(pobj) + abs(dobj))
         history.append((pinf, dinf, rel_gap))
         if callback is not None:
@@ -235,8 +291,8 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
                 status = "SlowProgress"
                 break
 
-        w = [r @ r.conj().T for r in rw]
-        schur = prob.build_schur(w)
+        w = [r @ _ct(r) for r in rw]
+        schur = prob.build_schur(blocks.unstack(w))
         try:
             factor = cho_factor(schur, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
@@ -248,75 +304,66 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
                 status = "NumericalFailure"
                 break
 
-        w_rd_w = [w[k] @ rd[k] @ w[k] for k in range(len(x))]
+        a_w_rd_w = prob.aop(blocks.unstack([wg @ r @ wg for wg, r in zip(w, rd)]))
 
         def newton(rc):
             rhs_mats = [rp[r] - m1 + m2 for r, (m1, m2)
-                        in enumerate(zip(prob.aop(rc), prob.aop(w_rd_w)))]
+                        in enumerate(zip(prob.aop(blocks.unstack(rc)), a_w_rd_w))]
             dy_vec = cho_solve(factor, prob.svec_rows(rhs_mats), check_finite=False)
             dy = prob.smat_rows(dy_vec)
-            adj = prob.aadj(dy)
-            dz = [rd[k] - adj[k] for k in range(len(x))]
-            dx = [_herm(rc[k] - w[k] @ dz[k] @ w[k]) for k in range(len(x))]
-            dz = [_herm(m) for m in dz]
-            return dx, dy, dz
+            adj = blocks.stack(prob.aadj(dy))
+            dz = [r - a for r, a in zip(rd, adj)]
+            dx = [_herm(r - wg @ d @ wg) for r, wg, d in zip(rc, w, dz)]
+            return dx, dy, [_herm(d) for d in dz]
+
+        # both steps measure against the same factors: X = Lx Lx^dag
+        lx_inv = [np.linalg.inv(m) for m in lx]
+        lz_inv = [np.linalg.inv(m) for m in lz]
 
         # predictor
-        rc_aff = [-m for m in x]
-        dx_a, dy_a, dz_a = newton(rc_aff)
-        ap = min((_max_step(lx[k], dx_a[k]) for k in range(len(x))), default=np.inf)
-        ad = min((_max_step(lz[k], dz_a[k]) for k in range(len(x))), default=np.inf)
-        ap_c, ad_c = min(1.0, ap), min(1.0, ad)
+        dx_a, dy_a, dz_a = newton([-m for m in x])
+        ap_c = min(1.0, _step_length(lx_inv, dx_a))
+        ad_c = min(1.0, _step_length(lz_inv, dz_a))
         gap_aff = (abs_gap + ap_c * _inner(dx_a, z) + ad_c * _inner(x, dz_a)
                    + ap_c * ad_c * _inner(dx_a, dz_a))
         sigma = min(0.99999, max(1e-8, (max(gap_aff, 0.0) / abs_gap) ** 3))
 
         # corrector: scaled-frame second-order term
         rc = []
-        for k in range(len(x)):
-            dxs = rw_inv[k] @ dx_a[k] @ rw_inv[k].conj().T
-            dzs = rw[k].conj().T @ dz_a[k] @ rw[k]
-            h2 = _herm(dxs @ dzs)
-            core = np.diag(sigma * mu / sig[k] - sig[k]) - h2
-            rc.append(_herm(rw[k] @ core @ rw[k].conj().T))
+        for r, r_inv, s, dxg, dzg in zip(rw, rw_inv, sig, dx_a, dz_a):
+            h2 = _herm((r_inv @ dxg @ _ct(r_inv)) @ (_ct(r) @ dzg @ r))
+            core = np.eye(s.shape[-1]) * (sigma * mu / s - s)[:, None, :] - h2
+            rc.append(_herm(r @ core @ _ct(r)))
         dx, dy, dz = newton(rc)
 
-        ap = min((_max_step(lx[k], dx[k]) for k in range(len(x))), default=np.inf)
-        ad = min((_max_step(lz[k], dz[k]) for k in range(len(x))), default=np.inf)
-        ap = min(1.0, _STEP_FRACTION * ap)
-        ad = min(1.0, _STEP_FRACTION * ad)
+        ap = min(1.0, _STEP_FRACTION * _step_length(lx_inv, dx))
+        ad = min(1.0, _STEP_FRACTION * _step_length(lz_inv, dz))
         if ap < 1e-10 and ad < 1e-10:
             status = "SlowProgress"
             break
-        for _ in range(40):
-            ok = True
-            for k in range(len(x)):
-                if np.linalg.eigvalsh(_herm(x[k] + ap * dx[k]))[0] <= 0.0:
-                    ok = False
-                    break
-                if np.linalg.eigvalsh(_herm(z[k] + ad * dz[k]))[0] <= 0.0:
-                    ok = False
-                    break
-            if ok:
+        # safeguard: shrink until every block of both iterates is PD
+        for _ in range(_BACKTRACK_ROUNDS):
+            x_new = [_herm(m + ap * d) for m, d in zip(x, dx)]
+            z_new = [_herm(m + ad * d) for m, d in zip(z, dz)]
+            if _all_pd(x_new) and _all_pd(z_new):
                 break
             ap *= 0.8
             ad *= 0.8
-        x = [_herm(x[k] + ap * dx[k]) for k in range(len(x))]
-        z = [_herm(z[k] + ad * dz[k]) for k in range(len(x))]
+        else:
+            # no verified step: keep the last accepted iterate
+            status = "NumericalFailure"
+            break
+        x, z = x_new, z_new
         y = [y[r] + ad * dy[r] for r in range(len(y))]
 
     # final diagnostics on the returned iterate
-    rp = [prob.b[r] - m for r, m in enumerate(prob.aop(x))]
-    atj = prob.aadj(y)
-    rd = [prob.c[k] - atj[k] - z[k] for k in range(len(x))]
-    pobj = _inner(prob.c, x)
+    rp, rd, pinf, dinf = residuals(x, y, z)
+    pobj = _inner(c, x)
     dobj = _inner(prob.b, y)
     abs_gap = _inner(x, z)
-    pinf = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in rp)) / b_norm
-    dinf = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in rd)) / c_norm
     rel_gap = abs_gap / (1.0 + abs(pobj) + abs(dobj))
     if status != "Optimal" and pinf <= feas_tol and dinf <= feas_tol \
             and rel_gap <= gap_tol:
         status = "Optimal"
-    return ConicResult(x, y, z, pobj, dobj, rel_gap, abs_gap, pinf, dinf,
-                       it, status, history)
+    return ConicResult(blocks.unstack(x), y, blocks.unstack(z), pobj, dobj,
+                       rel_gap, abs_gap, pinf, dinf, it, status, history)

@@ -10,6 +10,7 @@ suite, including the d = 16 solver scaling envelope, is what the CLI
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Callable, List, Optional, Tuple
 
@@ -527,13 +528,25 @@ CHECKS: List[Tuple[str, Callable[[bool], str]]] = [
 ]
 
 
+def environment_line() -> str:
+    """Kernel backend, core count and BLAS thread variables of this process."""
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                       for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"environment: backend={BACKEND} cpu_count={os.cpu_count()} "
+            f"{threads}")
+
+
 def run_checks(quick: bool = False, names: Optional[List[str]] = None,
                printer: Callable[[str], None] = print) -> bool:
-    """Run the invariant suite; returns True when every check passes."""
+    """Run the invariant suite; returns True when every check passes.
+
+    The first line printed states the environment the timings depend on.
+    """
     selected = [(n, f) for n, f in CHECKS
                 if names is None or any(s in n for s in names)]
     if not selected:
         raise ValueError(f"no checks match {names}")
+    printer(environment_line())
     n_fail = 0
     for name, fn in selected:
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Small constructions shared by the test modules."""
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from qscramble.channels import (PartitionSpec, build_choi,
                                 tripartite_mutual_information)
@@ -70,3 +71,40 @@ def random_steerable_state(rng, vis_lo=0.7, vis_hi=0.95):
 def random_axes(rng, n_axes=3):
     axes = rng.normal(size=(n_axes, 3))
     return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+def max_step(l_factor, delta):
+    """Largest alpha with X + alpha * delta still PSD, X = L L^dag.
+
+    Per-block reference for the interior-point solver's batched step
+    length: two triangular solves and one Hermitian eigensolve.
+    """
+    t = solve_triangular(l_factor, delta, lower=True, check_finite=False)
+    s = solve_triangular(l_factor, t.conj().T, lower=True, check_finite=False)
+    lam = np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0]
+    if lam >= 0.0:
+        return np.inf
+    return -1.0 / lam
+
+
+def mixed_rank_assemblage(eta=0.2):
+    """Qutrit assemblage whose facial reduction leaves blocks of sizes 1-3.
+
+    Setting 0 splits I/3 into a rank-2 and a rank-1 member; settings 1
+    and 2 are full-rank noisy splits along traceless Hermitian
+    directions.  No strategy is eliminated, so strategy blocks have sizes
+    2 and 1 and slack blocks sizes 2, 1 and 3.
+    """
+    def offdiag(i, j, phase):
+        m = np.zeros((3, 3), dtype=complex)
+        m[i, j] = phase
+        m[j, i] = np.conj(phase)
+        return m
+
+    third = np.eye(3, dtype=complex) / 3
+    members = [[np.diag([1.0, 1.0, 0.0]).astype(complex) / 3,
+                np.diag([0.0, 0.0, 1.0]).astype(complex) / 3]]
+    for h in (offdiag(0, 1, 1.0) + offdiag(0, 2, -1j),
+              offdiag(1, 2, 1.0) + offdiag(0, 1, -1j)):
+        members.append([(third + eta * h) / 2, (third - eta * h) / 2])
+    return members

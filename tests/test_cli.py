@@ -99,6 +99,10 @@ def test_verify_subcommand_quick_subset(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "kron" in out and "PASS" in out
+    header = out.splitlines()[0]
+    assert header.startswith("environment: backend=")
+    for key in ("cpu_count=", "OPENBLAS_NUM_THREADS=", "OMP_NUM_THREADS="):
+        assert key in header
 
 
 def test_bad_arguments_exit_nonzero():

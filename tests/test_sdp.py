@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import (PX, PY, PZ, bloch_assemblage, isotropic_assemblage,
-                     random_steerable_state)
+                     max_step, mixed_rank_assemblage, random_steerable_state)
 from qscramble.sdp import (NumericalFailure, first_order_steering_weight,
                            solve_steering_weight, verify_certificate)
-from qscramble.sdp import _kernels, _kernels_py
+from qscramble.sdp import _kernels, _kernels_py, ipm
 from qscramble.sdp import problem as sdp_problem
 from qscramble.sdp.strategies import enumerate_strategies
 from qscramble.steering import MeasurementSet
@@ -171,3 +171,98 @@ def test_kernel_congruence_action(rng):
     lhs = _kernels.congruence_rep(g) @ _kernels.svec(x)
     rhs = _kernels.svec(g @ x @ g.conj().T)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def _random_pd_stack(rng, n_blocks, d):
+    a = rng.normal(size=(n_blocks, d, d)) + 1j * rng.normal(size=(n_blocks, d, d))
+    return a @ a.conj().swapaxes(-1, -2) + 0.5 * np.eye(d)
+
+
+def _random_herm_stack(rng, n_blocks, d):
+    a = rng.normal(size=(n_blocks, d, d)) + 1j * rng.normal(size=(n_blocks, d, d))
+    return a + a.conj().swapaxes(-1, -2)
+
+
+def test_batched_step_length_matches_per_block_reference(rng):
+    # two stacks of different block sizes in one call, against the
+    # two-triangular-solve loop; tolerance fixed before the comparison
+    xs = [_random_pd_stack(rng, 4, 3), _random_pd_stack(rng, 3, 5)]
+    ls = [np.linalg.cholesky(m) for m in xs]
+    l_inv = [np.linalg.inv(m) for m in ls]
+    deltas = [_random_herm_stack(rng, 4, 3), _random_herm_stack(rng, 3, 5)]
+    expected = min(max_step(lk, dk) for lg, dg in zip(ls, deltas)
+                   for lk, dk in zip(lg, dg))
+    step = ipm._step_length(l_inv, deltas)
+    assert np.isfinite(expected)
+    np.testing.assert_allclose(step, expected, rtol=1e-10)
+
+    def per_block_pd(alpha):
+        return all(np.linalg.eigvalsh(xk + alpha * dk)[0] > 0.0
+                   for xg, dg in zip(xs, deltas) for xk, dk in zip(xg, dg))
+
+    for alpha, pd in ((0.9 * step, True), (1.1 * step, False)):
+        trial = [xg + alpha * dg for xg, dg in zip(xs, deltas)]
+        assert ipm._all_pd(trial) == per_block_pd(alpha) == pd
+
+    # a PSD direction never leaves the cone: the step is unbounded
+    psd = [_random_pd_stack(rng, 4, 3), _random_pd_stack(rng, 3, 5)]
+    assert all(max_step(lk, dk) == np.inf for lg, dg in zip(ls, psd)
+               for lk, dk in zip(lg, dg))
+    assert ipm._step_length(l_inv, psd) == np.inf
+    assert ipm._all_pd([xg + 1e3 * dg for xg, dg in zip(xs, psd)])
+
+
+def _capture_conic_calls(monkeypatch):
+    calls = []
+    real = ipm.solve_conic
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(ipm, "solve_conic", spy)
+    return calls
+
+
+def test_solve_with_blocks_of_several_sizes(monkeypatch):
+    # rank-deficient members shrink some strategy and slack blocks, so the
+    # solver holds stacks of three block sizes; weight frozen from the
+    # per-block solver
+    calls = _capture_conic_calls(monkeypatch)
+    members = mixed_rank_assemblage(0.2)
+    sol = solve_steering_weight(members)
+    (var_sizes, *_), _, _ = calls[0]
+    assert sorted(set(var_sizes)) == [1, 2, 3]
+    assert sol.reduced and not sol.eliminated
+    assert sol.status == "Optimal"
+    assert verify_certificate(members, sol)
+    assert sol.steerable_weight == pytest.approx(0.644175972291354, abs=1e-9)
+
+
+def test_backtracking_exhaustion_keeps_last_accepted_iterate(monkeypatch):
+    calls = _capture_conic_calls(monkeypatch)
+    solve_steering_weight(mixed_rank_assemblage(0.2))
+    monkeypatch.undo()
+    args, kwargs, _ = calls[0]
+    kwargs = dict(kwargs, max_iter=2)
+    reference = ipm.solve_conic(*args, **kwargs)
+    assert reference.status == "MaxIterations"
+
+    # from the third iteration on, no trial step passes the PSD check
+    real_all_pd = ipm._all_pd
+    iteration = [0]
+
+    def track(it, *_):
+        iteration[0] = it
+
+    monkeypatch.setattr(ipm, "_all_pd",
+                        lambda stacks: iteration[0] < 3 and real_all_pd(stacks))
+    res = ipm.solve_conic(*args, **dict(kwargs, max_iter=50, callback=track))
+    assert res.status == "NumericalFailure"
+    assert res.iterations == 3
+    for got, want in zip(res.x + res.z, reference.x + reference.z):
+        assert np.linalg.eigvalsh(got)[0] > 0.0
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(res.y, reference.y):
+        np.testing.assert_array_equal(got, want)
