@@ -146,10 +146,17 @@ class ScramblingReport:
         rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected a CSV header")
             if header != CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {header}")
             for rec in reader:
+                if not any(field.strip() for field in rec):
+                    continue
+                if len(rec) != len(CSV_HEADER):
+                    raise ValueError(f"{path}:{reader.line_num}: expected "
+                                     f"{len(CSV_HEADER)} fields, got {len(rec)}")
                 vals = [float(v) for v in rec[:8]]
                 rows.append(ScanRow(*vals, status=rec[8]))
         return cls(config or ExperimentConfig(), rows)

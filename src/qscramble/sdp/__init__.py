@@ -5,7 +5,7 @@ its interior-point solver and certificates, and a first-order oracle
 used to cross-check the solver in tests.
 """
 
-from ._kernels import BACKEND, congruence_rep, smat, svec, svec_indices
+from ._kernels import congruence_rep, smat, svec, svec_indices
 from .firstorder import FirstOrderResult, first_order_steering_weight
 from .ipm import ConicResult, NumericalFailure, solve_conic
 from .problem import (SdpSolution, SteeringWeightProblem,
@@ -14,7 +14,6 @@ from .strategies import (MAX_STRATEGIES, DeterministicStrategy,
                          enumerate_strategies)
 
 __all__ = [
-    "BACKEND",
     "congruence_rep",
     "smat",
     "svec",

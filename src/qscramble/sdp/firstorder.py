@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._kernels_py import smat, svec
+from ._kernels import smat, svec
 from .strategies import enumerate_strategies
 
 

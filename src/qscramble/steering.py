@@ -243,7 +243,7 @@ def minus_t3(unitary: ComplexMatrix, region_c: Sequence[str],
             if asm.dim <= EXACT_DIM:
                 sol = solve_steering_weight(asm.members, gap_tol=gap_tol)
             else:
-                sol = accelerator.try_solve(name, asm, gap_tol)
+                sol = accelerator.try_solve(name, asm)
         except NumericalFailure as exc:
             raise NumericalFailure(f"region {name}: {exc}") from exc
         parts[name] = sol
@@ -350,11 +350,9 @@ class BoundTrackingAccelerator:
             hidden.append(base + corr)
         return hidden
 
-    def try_solve(self, key: str, assemblage: Assemblage,
-                  gap_tol: float) -> SdpSolution:
+    def try_solve(self, key: str, assemblage: Assemblage) -> SdpSolution:
         """Certified bound on the weight of ``assemblage``, tracked under
-        ``key``; raises :class:`NumericalFailure` past ``BOUND_TOL``.
-        ``gap_tol`` is unused: the bound's width is set by BOUND_TOL."""
+        ``key``; raises :class:`NumericalFailure` past ``BOUND_TOL``."""
         d = assemblage.dim
         n_set, n_out = assemblage.n_settings, assemblage.n_outcomes
         sel, pinv = self._selection(n_set, n_out)

@@ -30,10 +30,8 @@ from .channels import (PartitionSpec, build_choi, build_pdm,
 from .steering import (MeasurementSet, encode_and_evolve, reduce_assemblage,
                        temporal_steerable_weight, total_steerable_weight,
                        minus_t3, tsw_unitary_invariance_check)
-from .sdp import (BACKEND, first_order_steering_weight,
-                  solve_steering_weight, verify_certificate,
-                  enumerate_strategies)
-from .sdp import _kernels_py
+from .sdp import (first_order_steering_weight, solve_steering_weight,
+                  verify_certificate, enumerate_strategies)
 
 #: witness-level agreement between independent routes (entropic vs SDP,
 #: invariance transports, first-order vs interior-point)
@@ -477,24 +475,6 @@ def check_scaling_envelope(quick: bool) -> str:
     return f"d={dim} weight {weight:.6f} in {elapsed:.1f}s"
 
 
-def check_kernel_backends(quick: bool) -> str:
-    from .sdp import _kernels
-    rng = _rng(26)
-    dims = (3, 5) if quick else (3, 5, 9)
-    for d in dims:
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        m = (m + m.conj().T) / 2
-        v_py = _kernels_py.svec(m)
-        v = _kernels.svec(m)
-        _ok(np.allclose(v, v_py, atol=1e-13), f"svec backend d={d}")
-        _ok(np.allclose(_kernels.smat(v, d), m, atol=1e-13), f"smat d={d}")
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        _ok(np.allclose(_kernels.congruence_rep(a),
-                        _kernels_py.congruence_rep(a), atol=1e-12),
-            f"congruence backend d={d}")
-    return f"active backend '{BACKEND}' matches reference"
-
-
 # ------------------------------------------------------------ registry ----
 
 CHECKS: List[Tuple[str, Callable[[bool], str]]] = [
@@ -523,17 +503,15 @@ CHECKS: List[Tuple[str, Callable[[bool], str]]] = [
     ("first-order agreement", check_first_order_agreement),
     ("strategy enumeration", check_strategies),
     ("determinism", check_determinism),
-    ("kernel backends", check_kernel_backends),
     ("scaling envelope", check_scaling_envelope),
 ]
 
 
 def environment_line() -> str:
-    """Kernel backend, core count and BLAS thread variables of this process."""
+    """Core count and BLAS thread variables of this process."""
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    return (f"environment: backend={BACKEND} cpu_count={os.cpu_count()} "
-            f"{threads}")
+    return f"environment: cpu_count={os.cpu_count()} {threads}"
 
 
 def run_checks(quick: bool = False, names: Optional[List[str]] = None,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qscramble import cli
-from qscramble.experiments import ScramblingReport, save_unitary_file
+from qscramble.experiments import (ExperimentConfig, ScanRow,
+                                   ScramblingReport, save_unitary_file)
 from qscramble.models import haar_random_unitary
 
 
@@ -65,6 +66,28 @@ def test_clifford_and_backflow_pipeline(tmp_path, capsys):
     assert data[1]["units"] == "unitless"
 
 
+def test_backflow_rejects_malformed_csv(tmp_path, capsys):
+    rows = [ScanRow(t, 0.1 * t, 0.2 * t, 1.0, 1.0, 0.5, 0.5, 0.9, "ok")
+            for t in (0.0, 1.0, 2.0, 3.0)]
+    text = ScramblingReport(ExperimentConfig(), rows).to_csv()
+    blank = tmp_path / "blank.csv"
+    blank.write_text(text + "\r\n", newline="")
+    assert ScramblingReport.from_csv(str(blank)).to_csv() == text
+    assert cli.main(["backflow", "--in", str(blank)]) == 0
+    capsys.readouterr()
+
+    lines = text.splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(lines[:-1] + [lines[-1][:12]]) + "\n")
+    assert cli.main(["backflow", "--in", str(short)]) == 2
+    assert f"{short}:5: expected 9 fields" in capsys.readouterr().err
+
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert cli.main(["backflow", "--in", str(empty)]) == 2
+    assert f"error: {empty}: empty file" in capsys.readouterr().err
+
+
 def test_clifford_svg(tmp_path):
     out = tmp_path / "cliff.csv"
     svg = tmp_path / "cliff.svg"
@@ -100,9 +123,10 @@ def test_verify_subcommand_quick_subset(capsys):
     out = capsys.readouterr().out
     assert "kron" in out and "PASS" in out
     header = out.splitlines()[0]
-    assert header.startswith("environment: backend=")
-    for key in ("cpu_count=", "OPENBLAS_NUM_THREADS=", "OMP_NUM_THREADS="):
+    assert header.startswith("environment: cpu_count=")
+    for key in ("OPENBLAS_NUM_THREADS=", "OMP_NUM_THREADS="):
         assert key in header
+    assert "backend=" not in header
 
 
 def test_bad_arguments_exit_nonzero():

@@ -7,7 +7,7 @@ from helpers import (PX, PY, PZ, bloch_assemblage, isotropic_assemblage,
                      max_step, mixed_rank_assemblage, random_steerable_state)
 from qscramble.sdp import (NumericalFailure, first_order_steering_weight,
                            solve_steering_weight, verify_certificate)
-from qscramble.sdp import _kernels, _kernels_py, ipm
+from qscramble.sdp import _kernels, ipm
 from qscramble.sdp import problem as sdp_problem
 from qscramble.sdp.strategies import enumerate_strategies
 from qscramble.steering import MeasurementSet
@@ -147,28 +147,18 @@ def test_schur_cap_guard(monkeypatch):
         solve_steering_weight(members)
 
 
-def test_kernel_backends_agree(rng):
-    # svec/smat roundtrip plus the congruence representation, compiled
-    # backend against the reference implementation
-    n = 5
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a = a + a.conj().T
-    v = _kernels.svec(a)
-    np.testing.assert_allclose(_kernels_py.svec(a), v, atol=1e-13)
-    np.testing.assert_allclose(_kernels.smat(v, n), a, atol=1e-13)
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    np.testing.assert_allclose(_kernels.congruence_rep(g),
-                               _kernels_py.congruence_rep(g), atol=1e-12)
-    assert _kernels.BACKEND in ("cython", "numpy")
-
-
-def test_kernel_congruence_action(rng):
-    # congruence_rep(G) acting on svec(X) must equal svec(G X G^H)
-    n = 4
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+@pytest.mark.parametrize("s, r", [(4, 4), (3, 5), (5, 2)])
+def test_kernel_congruence_action(rng, s, r):
+    # congruence_rep(G) acting on svec(X) must equal svec(G X G^H); facial
+    # reduction hands the solver rectangular G, so s != r is covered too
+    g = rng.normal(size=(s, r)) + 1j * rng.normal(size=(s, r))
+    x = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
     x = x + x.conj().T
-    lhs = _kernels.congruence_rep(g) @ _kernels.svec(x)
+    v = _kernels.svec(x)
+    np.testing.assert_allclose(_kernels.smat(v, r), x, atol=1e-13)
+    rep = _kernels.congruence_rep(g)
+    assert rep.shape == (s * s, r * r)
+    lhs = rep @ v
     rhs = _kernels.svec(g @ x @ g.conj().T)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
