@@ -25,12 +25,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qla import (ComplexMatrix, DensityMatrix, QubitRegister, kron,
-                  mutual_information, partial_trace, partial_transpose)
+from .qla import (ComplexMatrix, DensityMatrix, QubitRegister, half_blocks,
+                  kron, mutual_information, partial_trace, partial_transpose)
 from .models import haar_random_unitary, pauli_basis_labels, pauli_matrix
-
-_BELL_DM = np.zeros((4, 4), dtype=complex)
-_BELL_DM[0, 0] = _BELL_DM[0, 3] = _BELL_DM[3, 0] = _BELL_DM[3, 3] = 0.5
 
 
 def system_labels(n: int) -> Tuple[str, ...]:
@@ -100,7 +97,8 @@ def build_choi(unitary: ComplexMatrix, full_reference: bool = False) -> ChoiStat
     reference (register ``r1..rN q1..qN``, dimension 4^N); otherwise only
     q1 keeps a reference and the remaining inputs enter maximally mixed
     (register ``r1 q1..qN``, dimension 2^(N+1)).  The reduced form is the
-    full form with r2..rN traced out.
+    full form with r2..rN traced out: its ``r1`` blocks are
+    ``U_a U_b^dag / 2^N`` with ``U_a`` the columns of U whose q1 bit is a.
     """
     unitary = np.asarray(unitary, dtype=complex)
     dim = unitary.shape[0]
@@ -113,10 +111,9 @@ def build_choi(unitary: ComplexMatrix, full_reference: bool = False) -> ChoiStat
         psi = unitary.T.ravel() / np.sqrt(dim)
         reg = QubitRegister(reference_labels(n) + sys)
         return ChoiState(DensityMatrix.pure(psi, reg), n, reference_labels(n))
-    rho0 = _BELL_DM if n == 1 else kron(_BELL_DM, np.eye(dim // 2) / (dim // 2))
-    big_u = kron(np.eye(2), unitary)
+    g00, g01, g11 = half_blocks(unitary, 1)
+    rho = np.block([[g00, g01], [g01.conj().T, g11]]) / dim
     reg = QubitRegister(("r1",) + sys)
-    rho = big_u @ rho0 @ big_u.conj().T
     return ChoiState(DensityMatrix(rho, reg), n, ("r1",))
 
 
@@ -137,12 +134,22 @@ def tripartite_mutual_information(choi: ChoiState,
     For a unitary channel with single-qubit reference A this is bounded by
     [0, 2] and reaches 2 exactly when no information about the referenced
     input is recoverable from C or D alone.
+
+    When C and D together cover every output qubit and A holds only
+    references, I(A:CD) = 2|A| bits for any unitary: S(A) = |A| and
+    S(CD) = N, and since the full-reference state is pure, S(ACD) is the
+    entropy N - |A| of the other, maximally mixed, references.  That term
+    is then set, not computed.
     """
     dm = choi.state
     a, c, d = partition.region_a, partition.region_c, partition.region_d
     i_ac = mutual_information(dm, a, c)
     i_ad = mutual_information(dm, a, d)
-    i_acd = mutual_information(dm, a, c + d)
+    if (set(c + d) == set(system_labels(choi.n_qubits))
+            and set(a) <= set(choi.referenced)):
+        i_acd = 2.0 * len(a)
+    else:
+        i_acd = mutual_information(dm, a, c + d)
     return TmiResult(i_acd - i_ac - i_ad, i_ac, i_ad, i_acd)
 
 

@@ -146,18 +146,22 @@ class ScramblingReport:
         rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            records = (rec for rec in reader
+                       if any(field.strip() for field in rec))
+            header = next(records, None)
             if header is None:
                 raise ValueError(f"{path}: empty file, expected a CSV header")
             if header != CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {header}")
-            for rec in reader:
-                if not any(field.strip() for field in rec):
-                    continue
+            for rec in records:
+                where = f"{path}:{reader.line_num}"
                 if len(rec) != len(CSV_HEADER):
-                    raise ValueError(f"{path}:{reader.line_num}: expected "
+                    raise ValueError(f"{where}: expected "
                                      f"{len(CSV_HEADER)} fields, got {len(rec)}")
-                vals = [float(v) for v in rec[:8]]
+                try:
+                    vals = [float(v) for v in rec[:8]]
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from exc
                 rows.append(ScanRow(*vals, status=rec[8]))
         return cls(config or ExperimentConfig(), rows)
 

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qla import ComplexMatrix, DensityMatrix, QubitRegister, kron, partial_trace
+from .qla import (ComplexMatrix, DensityMatrix, QubitRegister, half_blocks,
+                  partial_trace)
 from .models import haar_random_unitary, pauli_matrix
 from .sdp import SdpSolution, solve_steering_weight
 from .sdp.ipm import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL, NumericalFailure
@@ -118,7 +119,9 @@ def encode_and_evolve(unitary: ComplexMatrix, measurements: MeasurementSet,
 
     The register starts maximally mixed; effect E on the measured qubit
     leaves the subnormalized state (E x 1) / 2^N, which then evolves
-    unitarily.  Traces p(a|x) = tr(E)/2 are preserved.
+    unitarily.  Traces p(a|x) = tr(E)/2 are preserved.  Every member is
+    sum_ab E[a, b] U_a U_b^dag / 2^N over the three half-block products
+    of U split on the measured qubit (see :func:`qla.half_blocks`).
     """
     unitary = np.asarray(unitary, dtype=complex)
     dim = unitary.shape[0]
@@ -127,14 +130,15 @@ def encode_and_evolve(unitary: ComplexMatrix, measurements: MeasurementSet,
         raise ValueError("unitary dimension is not a power of two")
     if not 1 <= measured_qubit <= n:
         raise ValueError(f"measured qubit {measured_qubit} outside 1..{n}")
+    g00, g01, g11 = (g / dim for g in half_blocks(unitary, measured_qubit))
+    g10 = g01.conj().T
     members = []
     for row in measurements.effects:
         out_row = []
         for effect in row:
-            factors = [np.eye(2, dtype=complex)] * n
-            factors[measured_qubit - 1] = np.asarray(effect, dtype=complex)
-            state = kron(*factors) / dim
-            out_row.append(unitary @ state @ unitary.conj().T)
+            e = np.asarray(effect, dtype=complex)
+            out_row.append(e[0, 0] * g00 + e[0, 1] * g01
+                           + e[1, 0] * g10 + e[1, 1] * g11)
         members.append(out_row)
     return Assemblage(members, tuple(f"q{i}" for i in range(1, n + 1)))
 

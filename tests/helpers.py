@@ -87,6 +87,42 @@ def max_step(l_factor, delta):
     return -1.0 / lam
 
 
+def choi_sandwich(unitary):
+    """Reduced Choi state as (1 x U) rho0 (1 x U)^dag on ``r1 q1..qN``.
+
+    Dense reference for ``build_choi``: rho0 is a Bell pair on r1 q1
+    times the maximally mixed state of q2..qN.
+    """
+    dim = unitary.shape[0]
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+    rho0 = np.kron(bell, np.eye(dim // 2) / (dim // 2))
+    big_u = np.kron(I2, unitary)
+    return big_u @ rho0 @ big_u.conj().T
+
+
+def evolve_sandwich(unitary, effects, measured_qubit):
+    """Members U (E x 1) U^dag / 2^N with E on ``measured_qubit``.
+
+    Dense reference for ``encode_and_evolve``; ``effects`` is indexed
+    [setting][outcome].
+    """
+    dim = unitary.shape[0]
+    n = dim.bit_length() - 1
+    members = []
+    for row in effects:
+        out_row = []
+        for effect in row:
+            factors = [I2] * n
+            factors[measured_qubit - 1] = np.asarray(effect, dtype=complex)
+            state = factors[0]
+            for f in factors[1:]:
+                state = np.kron(state, f)
+            out_row.append(unitary @ (state / dim) @ unitary.conj().T)
+        members.append(out_row)
+    return members
+
+
 def mixed_rank_assemblage(eta=0.2):
     """Qutrit assemblage whose facial reduction leaves blocks of sizes 1-3.
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import I2
+from helpers import I2, choi_sandwich
 from qscramble.channels import (PartitionSpec, build_choi, build_pdm,
                                 haar_scrambled_baseline, reference_labels,
                                 system_labels, tripartite_mutual_information)
 from qscramble.models import (clifford_scrambler_unitary, haar_random_unitary,
                               random_local_unitary, swap_network)
-from qscramble.qla import partial_trace
+from qscramble.qla import mutual_information, partial_trace
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -71,6 +71,56 @@ def test_choi_reduced_consistent_with_full(rng):
     red = build_choi(u)
     traced = partial_trace(full.state, ("r1", "q1", "q2"))
     np.testing.assert_allclose(traced.matrix, red.state.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_choi_matches_dense_sandwich(rng, n):
+    # n = 1 splits U into single columns
+    u = haar_random_unitary(2 ** n, rng)
+    np.testing.assert_allclose(build_choi(u).state.matrix, choi_sandwich(u),
+                               rtol=0, atol=1e-13)
+
+
+def _computed_i_acd(choi, part):
+    return mutual_information(choi.state, part.region_a,
+                              part.region_c + part.region_d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tmi_identity_matches_computed_i_acd(rng, n):
+    for _ in range(3):
+        u = haar_random_unitary(2 ** n, rng)
+        choi = build_choi(u)
+        for n_c in range(1, n):
+            part = PartitionSpec.leading(n, n_c)
+            tmi = tripartite_mutual_information(choi, part)
+            assert tmi.i_acd == 2.0
+            assert _computed_i_acd(choi, part) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_tmi_identity_on_full_reference_choi(rng):
+    u = haar_random_unitary(8, rng)
+    full = build_choi(u, full_reference=True)
+    for part in (PartitionSpec(("r1",), ("q1",), ("q2", "q3")),
+                 PartitionSpec(("r2",), ("q1", "q3"), ("q2",)),
+                 PartitionSpec(("r1", "r3"), ("q2",), ("q1", "q3"))):
+        tmi = tripartite_mutual_information(full, part)
+        assert tmi.i_acd == 2.0 * len(part.region_a)
+        assert _computed_i_acd(full, part) == pytest.approx(tmi.i_acd,
+                                                            abs=1e-12)
+        # the full-reference state reduces to the one-reference state on r1
+        if part.region_a == ("r1",):
+            red = tripartite_mutual_information(build_choi(u), part)
+            assert red.minus_i3 == pytest.approx(tmi.minus_i3, abs=1e-12)
+
+
+def test_tmi_partition_missing_a_qubit_is_computed(rng):
+    # q2 belongs to neither C nor D, so the identity does not apply
+    choi = build_choi(haar_random_unitary(8, rng))
+    part = PartitionSpec(("r1",), ("q1",), ("q3",))
+    tmi = tripartite_mutual_information(choi, part)
+    assert tmi.i_acd == _computed_i_acd(choi, part)
+    assert tmi.i_acd < 2.0 - 1e-3
 
 
 def test_choi_rejects_non_qubit_operator():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +89,35 @@ def test_backflow_rejects_malformed_csv(tmp_path, capsys):
     empty.write_text("")
     assert cli.main(["backflow", "--in", str(empty)]) == 2
     assert f"error: {empty}: empty file" in capsys.readouterr().err
+
+    word = tmp_path / "word.csv"
+    fields = lines[3].split(",")
+    fields[1] = "abc"
+    word.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:])
+                    + "\n")
+    assert cli.main(["backflow", "--in", str(word)]) == 2
+    assert (f"error: {word}:4: could not convert string to float: 'abc'"
+            in capsys.readouterr().err)
+
+    leading = tmp_path / "leading.csv"
+    leading.write_text("\n \n" + text)
+    assert ScramblingReport.from_csv(str(leading)).to_csv() == text
+
+    blanks = tmp_path / "blanks.csv"
+    blanks.write_text("\n\n  \n")
+    assert cli.main(["backflow", "--in", str(blanks)]) == 2
+    assert f"error: {blanks}: empty file" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_command():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qscramble", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: qscramble" in proc.stdout
 
 
 def test_clifford_svg(tmp_path):

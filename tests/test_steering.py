@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import PX, PZ, isotropic_assemblage
+from helpers import PX, PZ, evolve_sandwich, isotropic_assemblage
 from qscramble.channels import PartitionSpec
 from qscramble.models import (build_ising, clifford_scrambler_unitary,
                               haar_random_unitary, random_local_unitary)
@@ -48,6 +48,31 @@ def test_encode_other_qubit(rng):
     asm = encode_and_evolve(haar_random_unitary(4, rng), ms, measured_qubit=2)
     assert asm.no_signaling_defect() < 1e-12
     np.testing.assert_allclose(asm.marginal(), np.eye(4) / 4, atol=1e-12)
+
+
+def _trine_and_biased_povm():
+    """Non-projective settings with complex off-diagonal effects."""
+    trine = []
+    for k in range(3):
+        phase = np.exp(2j * np.pi * k / 3)
+        trine.append(np.array([[1, np.conj(phase)], [phase, 1]]) / 3)
+    m = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    return MeasurementSet("trine-biased", [trine, [m, np.eye(2) - m]])
+
+
+@pytest.mark.parametrize("measurements", [MeasurementSet.pauli(),
+                                          _trine_and_biased_povm()],
+                         ids=["pauli", "povm"])
+@pytest.mark.parametrize("measured_qubit", [1, 2, 3])
+def test_encode_and_evolve_matches_dense_sandwich(rng, measurements,
+                                                  measured_qubit):
+    u = haar_random_unitary(8, rng)
+    asm = encode_and_evolve(u, measurements, measured_qubit=measured_qubit)
+    ref = evolve_sandwich(u, measurements.effects, measured_qubit)
+    assert [len(row) for row in asm.members] == [len(row) for row in ref]
+    for got_row, ref_row in zip(asm.members, ref):
+        for got, want in zip(got_row, ref_row):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_reduce_assemblage(rng):
