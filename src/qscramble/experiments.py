@@ -255,9 +255,11 @@ def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
 
     ``progress(done, total)``, if given, is called after each grid point,
     or after each chunk when ``jobs > 1``.  With ``jobs > 1`` the grid is
-    split into contiguous chunks handled by worker processes; each chunk
-    tracks its own large-region bounds, so results do not depend on
-    scheduling.
+    split into contiguous chunks handled by worker processes, and the
+    rows come back in grid order.  Exact and certified-zero rows do not
+    depend on the chunking.  A "bounded" row does: its bound starts from
+    the previous bounded point of the same chunk, so with other chunks it
+    can differ in the last digits.
     """
     if config.model == "clifford":
         return run_clifford_scan(config)

@@ -6,16 +6,26 @@ The steerable weight of an assemblage {sigma_{a|x}} is 1 - mu* with
           s.t. sum_lam D_lam(a|x) sigma_lam <= sigma_{a|x}  for all a, x
                sigma_lam >= 0
 
-over deterministic strategies lam.  Assemblages produced by projective
-measurements at t = 0 are rank deficient, so the primal has no interior
-and a straight interior-point run stalls.  The fix implemented here is a
-facial reduction: each sigma_lam is confined to the intersection of the
-supports of the members its strategy selects, slack blocks are confined
-to the member supports, and strategies whose intersection is trivial are
-eliminated exactly.  For fully projective assemblages every strategy
-dies and the weight is returned as exactly 1 with a synthesized dual
-certificate; for full-rank assemblages the reduction is the identity and
-adds no work.
+over deterministic strategies lam.
+
+Two exits settle the common extremes exactly, without an interior-point
+iteration.  An unsteerable assemblage has a local model of mass 1; the
+exact-zero exit looks for one (the least-norm solution of the equality
+constraints, refined by a few reflections if it is not PSD) and returns
+TSW = 0 with the dual certificate F_{a|x} = I/n_settings.  It runs
+first, at any member dimension.
+
+Assemblages produced by projective measurements at t = 0 are rank
+deficient, so the primal has no interior and a straight interior-point
+run stalls.  The fix implemented here is a facial reduction: each
+sigma_lam is confined to the intersection of the supports of the members
+its strategy selects, slack blocks are confined to the member supports,
+and strategies whose intersection is trivial are eliminated exactly.
+For fully projective assemblages every strategy dies and the weight is
+returned as exactly 1 with a synthesized dual certificate (the second
+exit); for full-rank assemblages the reduction is the identity and adds
+no work.  Whatever remains goes to the interior-point solver, which
+refuses Schur systems past ``_SCHUR_BYTE_CAP``.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import ipm
-from .strategies import DeterministicStrategy, enumerate_strategies
+from .strategies import DeterministicStrategy, enumerate_strategies, selection
 
 #: refuse interior-point solves whose dense Schur factor would not fit in
 #: memory; 64-dimensional members need ~4.8 GB, well past a small box
@@ -35,6 +45,11 @@ _SCHUR_BYTE_CAP = 2e9
 SUPPORT_RTOL = 1e-10
 DROP_TRACE = 1e-12
 _INTERSECT_TOL = 1e-9
+
+#: averaged reflections the exact-zero exit tries before giving up
+ZERO_EXIT_ROUNDS = 20
+#: largest equality residual of a local model the exact-zero exit accepts
+ZERO_EXIT_RESIDUAL = 1e-12
 
 
 @dataclass
@@ -199,12 +214,18 @@ def solve_steering_weight(members, gap_tol: float = ipm.DEFAULT_GAP_TOL,
                           validate: bool = True) -> SdpSolution:
     """Steerable weight of an assemblage via the interior-point solver.
 
-    Returns an :class:`SdpSolution`; the weight itself is
+    A certified zero or unit weight returns before any interior-point
+    iteration (``iterations == 0``); a Schur system past the memory cap
+    raises :class:`ipm.NumericalFailure`.  Returns an
+    :class:`SdpSolution`; the weight itself is
     ``solution.steerable_weight`` and the hidden-state decomposition and
     dual certificate live in the original member space.
     """
     problem = members if isinstance(members, SteeringWeightProblem) \
         else SteeringWeightProblem(members, validate=validate)
+    zero = _exact_zero_weight(problem)
+    if zero is not None:
+        return zero
     red = problem.reduce()
     d = problem.dim
     survivors = [s for s in problem.strategies if s.index not in red.eliminated]
@@ -288,6 +309,59 @@ def solve_steering_weight(members, gap_tol: float = ipm.DEFAULT_GAP_TOL,
     return SdpSolution(mu, hidden, certificate, res.status, res.gap,
                        res.iterations, res.pinf, res.dinf,
                        red.engaged, red.eliminated)
+
+
+def _exact_zero_weight(problem: SteeringWeightProblem
+                       ) -> Optional[SdpSolution]:
+    """A local model of mass 1, which makes mu* = 1 and TSW = 0 exactly.
+
+    The least-norm solution sigma_lam = sum_r pinv[lam, r] sigma_r of the
+    equalities sum_{lam selects r} sigma_lam = sigma_r holds exactly for
+    any no-signalling assemblage.  When one of its states is not PSD and
+    every member has full rank, at most ``ZERO_EXIT_ROUNDS`` averaged
+    reflections between that affine set and the shrunken cone
+    {sigma >= eps I} look for a PSD point of the affine set.  A PSD model
+    that meets the equalities proves mu* >= 1, and F_{a|x} = I/n_settings
+    is dual feasible with value sum_x tr(sum_a sigma_{a|x})/n_settings = 1,
+    which proves mu* <= 1.  Returns None when no such model turns up.
+    """
+    _, a_mat, pinv = selection(problem.n_settings, problem.n_outcomes)
+    flat = np.stack([m for row in problem.members for m in row])
+    seed = _hermitian(np.einsum("lr,rij->lij", pinv, flat))
+    hidden = seed
+    lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
+    if lam_min < 0.0:
+        floor = float(np.linalg.eigvalsh(flat)[:, 0].min())
+        if floor <= 0.0:
+            return None
+        eps = 1e-3 * floor / len(pinv)
+        # affine projection z -> seed + (1 - pinv A) z
+        to_null = np.eye(len(pinv)) - pinv @ a_mat
+        state = seed
+        for _ in range(ZERO_EXIT_ROUNDS):
+            ev, vec = np.linalg.eigh(2.0 * hidden - state)
+            cone = (vec * np.maximum(ev, eps)[:, None, :]) \
+                @ vec.conj().swapaxes(-1, -2)
+            state = state + cone - hidden
+            hidden = _hermitian(seed + np.einsum("lk,kij->lij", to_null,
+                                                 state))
+            lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
+            if lam_min >= 0.0:
+                break
+        else:
+            return None
+    resid = np.einsum("rl,lij->rij", a_mat, hidden) - flat
+    if np.abs(resid).max() > ZERO_EXIT_RESIDUAL:
+        return None
+    mu = float(np.trace(hidden, axis1=1, axis2=2).real.sum())
+    f = np.eye(problem.dim, dtype=complex) / problem.n_settings
+    certificate = [[f.copy() for _ in range(problem.n_outcomes)]
+                   for _ in range(problem.n_settings)]
+    return SdpSolution(mu, list(hidden), certificate, "Optimal", 0.0, 0)
+
+
+def _hermitian(stack: np.ndarray) -> np.ndarray:
+    return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
 
 
 def _exact_unit_weight(problem: SteeringWeightProblem,

@@ -31,7 +31,7 @@ from .qla import (ComplexMatrix, DensityMatrix, QubitRegister, half_blocks,
 from .models import haar_random_unitary, pauli_matrix
 from .sdp import SdpSolution, solve_steering_weight
 from .sdp.ipm import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL, NumericalFailure
-from .sdp.strategies import enumerate_strategies
+from .sdp.strategies import selection
 
 _PAULI_BY_AXIS = {"x": pauli_matrix("X"), "y": pauli_matrix("Y"),
                   "z": pauli_matrix("Z")}
@@ -227,13 +227,16 @@ def minus_t3(unitary: ComplexMatrix, region_c: Sequence[str],
     """Temporal-steering scrambling witness of a unitary.
 
     -T3 = TSW[total] - TSW[C] - TSW[D] for the measure-then-evolve
-    protocol on the maximally mixed register.  The region size picks the
-    path: regions of member dimension up to ``EXACT_DIM`` are solved
-    exactly by the interior-point SDP, larger ones get a certified upper
-    bound from ``accelerator`` (status "bounded").  Pass one
+    protocol on the maximally mixed register.  Every region goes to
+    :func:`solve_steering_weight`, whose exact-zero exit certifies
+    TSW = 0 at any member dimension when a local model of mass 1 turns
+    up.  A region that fails that test goes on to the interior-point
+    SDP.  Full-rank regions above ``EXACT_DIM`` are past the solver's
+    Schur-memory cap, which refuses them, and ``accelerator`` certifies
+    an upper bound for them instead (status "bounded").  Pass one
     :class:`BoundTrackingAccelerator` along a scan so each bound starts
-    from the previous grid point's model; without one a fresh bounder is
-    used.
+    from the previous bounded point's model; without one a fresh bounder
+    is used.
     """
     ms = measurements or MeasurementSet.pauli()
     if accelerator is None:
@@ -244,9 +247,11 @@ def minus_t3(unitary: ComplexMatrix, region_c: Sequence[str],
     for name, region in (("C", tuple(region_c)), ("D", tuple(region_d))):
         asm = reduce_assemblage(total, region)
         try:
-            if asm.dim <= EXACT_DIM:
+            try:
                 sol = solve_steering_weight(asm.members, gap_tol=gap_tol)
-            else:
+            except NumericalFailure:
+                if asm.dim <= EXACT_DIM:
+                    raise
                 sol = accelerator.try_solve(name, asm)
         except NumericalFailure as exc:
             raise NumericalFailure(f"region {name}: {exc}") from exc
@@ -278,60 +283,41 @@ def tsw_unitary_invariance_check(assemblage: Assemblage, seeds=(0, 1, 2),
     return worst
 
 
-#: largest member dimension that minus_t3 solves exactly with the
-#: interior-point method; larger regions get a certified bound instead
+#: largest member dimension at which minus_t3 reports a refused
+#: interior-point solve as a failure; larger refused regions get a
+#: certified bound instead
 EXACT_DIM = 32
 #: widest accepted bound 1 - m on the steerable weight of a large region
 BOUND_TOL = 1e-6
 #: averaged-reflection rounds per bounded solve
 MAX_ROUNDS = 4000
 
-_SELECTION_CACHE: Dict[Tuple[int, int], tuple] = {}
-
 
 class BoundTrackingAccelerator:
     """Certified steerable-weight bounds for regions past the exact solver.
 
     Regions above ``EXACT_DIM`` are past the interior-point solver's
-    memory envelope; for them the weight is bounded by an explicit local
-    model with mass m, which proves TSW <= 1 - m.  The model is found by
-    exploiting that such regions stay near the trivial assemblage
-    sigma_{a|x} ~ p(a|x) I/d on scrambling scans: the least-norm solution
-    of the exact decomposition sum_lam D sigma_lam = sigma_{a|x} (mass
-    exactly 1) is refined into the PSD cone by averaged alternating
-    reflections between the cone and the affine constraint set, then
-    certified by :meth:`_certify`.  Points are accepted only when
-    1 - m <= ``BOUND_TOL`` and reported with status "Bounded", the
-    interval width in ``gap``, and the upper bound 1 - m as the weight;
-    others fail like any solver failure.  The reflection state is carried
-    between calls per region key, so one instance should follow a scan's
-    grid: consecutive grid times then cost only a few sweeps deep in the
-    scrambled phase.
+    memory envelope.  :func:`minus_t3` calls the bounder only for those
+    that the solver's exact-zero exit could not certify; on the 41-point
+    SYK n=8 scan of ``scanbench`` that is none of them.  For them the
+    weight is bounded by an explicit local model with mass m, which
+    proves TSW <= 1 - m.  The model is found by exploiting that such
+    regions stay near the trivial assemblage sigma_{a|x} ~ p(a|x) I/d on
+    scrambling scans: the least-norm solution of the exact decomposition
+    sum_lam D sigma_lam = sigma_{a|x} (mass exactly 1) is refined into the
+    PSD cone by averaged alternating reflections between the cone and the
+    affine constraint set, then certified by :meth:`_certify`.  Points
+    are accepted only when 1 - m <= ``BOUND_TOL`` and reported with
+    status "Bounded", the interval width in ``gap``, and the upper bound
+    1 - m as the weight; others fail like any solver failure.  The
+    reflection state is carried between calls per region key, so one
+    instance should follow a scan's grid: consecutive bounded points then
+    cost only a few sweeps deep in the scrambled phase, and a bound
+    depends on the points before it.
     """
 
     def __init__(self):
         self._tracked: Dict[str, List[np.ndarray]] = {}
-
-    @staticmethod
-    def _selection(n_set: int, n_out: int):
-        """Selection lists per member and pseudoinverse of the 0/1 map
-        strategies -> members; cached per scenario shape."""
-        key = (n_set, n_out)
-        cached = _SELECTION_CACHE.get(key)
-        if cached is not None:
-            return cached
-        strategies = enumerate_strategies(n_set, n_out)
-        n_strat = len(strategies)
-        sel = []
-        a_mat = np.zeros((n_set * n_out, n_strat))
-        for x in range(n_set):
-            for a in range(n_out):
-                idx = [s.index for s in strategies if s.outcomes[x] == a]
-                sel.append(idx)
-                a_mat[len(sel) - 1, idx] = 1.0
-        cached = (sel, np.linalg.pinv(a_mat))
-        _SELECTION_CACHE[key] = cached
-        return cached
 
     def _project_affine(self, flat_members, sel, pinv,
                         hidden: List[np.ndarray]) -> List[np.ndarray]:
@@ -359,7 +345,7 @@ class BoundTrackingAccelerator:
         ``key``; raises :class:`NumericalFailure` past ``BOUND_TOL``."""
         d = assemblage.dim
         n_set, n_out = assemblage.n_settings, assemblage.n_outcomes
-        sel, pinv = self._selection(n_set, n_out)
+        sel, _, pinv = selection(n_set, n_out)
         flat = [assemblage.members[x][a]
                 for x in range(n_set) for a in range(n_out)]
         floor = min(float(np.linalg.eigvalsh(m)[0]) for m in flat)

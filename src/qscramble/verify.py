@@ -347,10 +347,12 @@ def check_tsw_anchors(quick: bool) -> str:
     asm = encode_and_evolve(np.eye(8), ms)
     w_q1 = temporal_steerable_weight(reduce_assemblage(asm, ("q1",)))
     _ok(w_q1 == 1.0, f"projective TSW {w_q1} != 1 exactly")
-    w_rest = temporal_steerable_weight(reduce_assemblage(asm, ("q2", "q3")))
-    _ok(w_rest <= 5e-7, f"untouched region TSW {w_rest}")
+    w_rest, sol = temporal_steerable_weight(
+        reduce_assemblage(asm, ("q2", "q3")), full_output=True)
+    _ok(w_rest <= 1e-12 and sol.iterations == 0,
+        f"untouched region TSW {w_rest} after {sol.iterations} iterations")
     _ok(total_steerable_weight(ms) == 1.0, "TSW total != 1 exactly")
-    return "t=0 anchors: 1 exact, 0 within 5e-7, total 1 exact"
+    return "t=0 anchors: 1 exact, 0 within 1e-12, total 1 exact"
 
 
 def check_witness_gates(quick: bool) -> str:
@@ -414,6 +416,30 @@ def check_dual_certificates(quick: bool) -> str:
     return "independent dual recheck on two instances"
 
 
+def check_exact_zero_exit(quick: bool) -> str:
+    prop = Propagator(build_ising(5, 1.0, 0.5).matrix())
+    asm = reduce_assemblage(
+        encode_and_evolve(prop.unitary(20.0), MeasurementSet.pauli()),
+        ("q3", "q4", "q5"))
+    weight, sol = temporal_steerable_weight(asm, full_output=True)
+    _ok(sol.status == "Optimal" and sol.iterations == 0,
+        f"{sol.status} after {sol.iterations} iterations, not the exit")
+    _ok(verify_certificate(asm.members, sol), "I/n_settings certificate")
+    worst_psd = min(float(np.linalg.eigvalsh(h)[0]) for h in sol.hidden_states)
+    _ok(worst_psd >= 0.0, f"hidden state eigenvalue {worst_psd}")
+    strategies = enumerate_strategies(asm.n_settings, asm.n_outcomes)
+    resid = max(
+        float(np.abs(sum(h for h, s in zip(sol.hidden_states, strategies)
+                         if s.selects(a, x)) - m).max())
+        for x, row in enumerate(asm.members) for a, m in enumerate(row))
+    _ok(resid <= 1e-12, f"equality residual {resid}")
+    res = first_order_steering_weight(asm.members, tol=1e-8)
+    _ok(res.converged and abs(res.weight - weight) <= 1e-6,
+        f"first-order {res.weight} vs exit {weight}")
+    return (f"d={asm.dim} weight {weight:.1e}, residual {resid:.1e}, "
+            f"first-order {res.weight:.1e}")
+
+
 def check_first_order_agreement(quick: bool) -> str:
     ms = MeasurementSet.pauli()
     eta = 0.8
@@ -466,6 +492,8 @@ def scaling_check(dim: int = SCALING_DIM,
     elapsed = time.perf_counter() - start
     if sol.status != "Optimal":
         raise CheckFailure(f"d={dim} solve ended {sol.status}")
+    if sol.iterations == 0:
+        raise CheckFailure(f"d={dim} solve ran no interior-point iteration")
     if elapsed > budget_s:
         raise CheckFailure(f"d={dim} solve took {elapsed:.1f}s "
                            f"(budget {budget_s:.0f}s)")
@@ -503,6 +531,7 @@ CHECKS: List[Tuple[str, Callable[[bool], str]]] = [
     ("steerable-weight invariance", check_tsw_invariance),
     ("mixing convexity", check_mixing_convexity),
     ("dual certificates", check_dual_certificates),
+    ("exact zero exit", check_exact_zero_exit),
     ("first-order agreement", check_first_order_agreement),
     ("strategy enumeration", check_strategies),
     ("determinism", check_determinism),

@@ -11,8 +11,9 @@ from qscramble.experiments import (CSV_HEADER, ExperimentConfig,
                                    run_clifford_scan, run_scan,
                                    save_unitary_file, size_sweep)
 from qscramble.models import haar_random_unitary
+from qscramble import steering
 from qscramble.plotting import write_scan_svg
-from qscramble.sdp import problem as sdp_problem
+from qscramble.sdp import NumericalFailure
 
 
 def test_config_validation():
@@ -125,8 +126,20 @@ def test_run_scan_from_unitary_file(tmp_path, rng):
     assert report.rows[0].status in ("ok", "bounded")
 
 
+def test_run_scan_jobs_leave_rows_unchanged():
+    # region D (dimension 64) is certified zero at every point, so no row
+    # depends on state carried along a worker's chunk
+    cfg = ExperimentConfig(model="syk", n=8, seed=0, points=6)
+    seq = run_scan(cfg)
+    par = run_scan(ExperimentConfig(**{**cfg.to_dict(), "jobs": 2}))
+    assert seq.to_csv() == par.to_csv()
+
+
 def test_run_scan_records_per_row_failures(monkeypatch):
-    monkeypatch.setattr(sdp_problem, "_SCHUR_BYTE_CAP", 1.0)
+    def fail(*args, **kwargs):
+        raise NumericalFailure("injected solver failure")
+
+    monkeypatch.setattr(steering, "solve_steering_weight", fail)
     cfg = ExperimentConfig(model="ising", n=3, points=3, t_max=2.0)
     report = run_scan(cfg)  # must complete despite every solve failing
     assert len(report.rows) == 3

@@ -5,12 +5,16 @@ import pytest
 
 from helpers import (PX, PY, PZ, bloch_assemblage, isotropic_assemblage,
                      max_step, mixed_rank_assemblage, random_steerable_state)
-from qscramble.sdp import (NumericalFailure, first_order_steering_weight,
+from qscramble.models import build_ising
+from qscramble.qla import Propagator
+from qscramble.sdp import (NumericalFailure, SteeringWeightProblem,
+                           first_order_steering_weight,
                            solve_steering_weight, verify_certificate)
 from qscramble.sdp import _kernels, ipm
 from qscramble.sdp import problem as sdp_problem
 from qscramble.sdp.strategies import enumerate_strategies
-from qscramble.steering import MeasurementSet
+from qscramble.steering import (MeasurementSet, encode_and_evolve,
+                                reduce_assemblage)
 
 # steering a Bell pair through white noise of visibility eta and measuring
 # along m mutually unbiased axes has weight (sqrt(m) eta - 1)/(sqrt(m) - 1)
@@ -256,3 +260,89 @@ def test_backtracking_exhaustion_keeps_last_accepted_iterate(monkeypatch):
         np.testing.assert_array_equal(got, want)
     for got, want in zip(res.y, reference.y):
         np.testing.assert_array_equal(got, want)
+
+
+def _ising_region(n, t, region):
+    prop = Propagator(build_ising(n, 1.0, 0.5).matrix())
+    asm = encode_and_evolve(prop.unitary(t), MeasurementSet.pauli())
+    return reduce_assemblage(asm, region).members
+
+
+def _equality_residual(members, hidden):
+    strategies = enumerate_strategies(len(members), len(members[0]))
+    return max(float(np.abs(sum(h for h, s in zip(hidden, strategies)
+                                if s.selects(a, x)) - m).max())
+               for x, row in enumerate(members) for a, m in enumerate(row))
+
+
+# grid points of the scans' 41- and 13-point grids on [0, 40]; at t = 20
+# region D's least-norm seed is not PSD, so the reflections are exercised
+@pytest.mark.parametrize("n, region", [
+    (5, ("q1", "q2")), (5, ("q3", "q4", "q5")),
+    (6, ("q1", "q2")), (6, ("q3", "q4", "q5", "q6"))],
+    ids=["n5-C", "n5-D", "n6-C", "n6-D"])
+def test_zero_exit_certifies_ising_grid_point(n, region):
+    members = _ising_region(n, 20.0, region)
+    sol = solve_steering_weight(members)
+    assert sol.status == "Optimal"
+    assert sol.iterations == 0 and sol.gap == 0.0
+    assert not sol.reduced and not sol.eliminated
+    assert min(np.linalg.eigvalsh(h)[0] for h in sol.hidden_states) >= 0.0
+    assert _equality_residual(members, sol.hidden_states) <= 1e-12
+    assert sol.steerable_weight <= 1e-12
+    assert verify_certificate(members, sol)
+    for row in sol.dual_certificate:
+        for f in row:
+            np.testing.assert_array_equal(f, np.eye(len(f)) / len(members))
+    res = first_order_steering_weight(members, tol=1e-8)
+    assert res.converged
+    assert abs(res.weight - sol.steerable_weight) <= 1e-6
+
+
+@pytest.mark.parametrize("members, weight", [
+    (isotropic_assemblage(0.8, [PX, PY, PZ]), mub_weight(3, 0.8)),
+    (mixed_rank_assemblage(0.2), 0.644175972291354)],
+    ids=["isotropic", "mixed-rank"])
+def test_zero_exit_never_taken_when_steerable(members, weight):
+    assert sdp_problem._exact_zero_weight(
+        SteeringWeightProblem(members)) is None
+    sol = solve_steering_weight(members)
+    assert sol.iterations > 0
+    assert sol.steerable_weight == pytest.approx(weight, abs=5e-7)
+
+
+def test_zero_exit_needs_exact_equalities():
+    # a signalling defect of 1e-9 passes validation, but then no local
+    # model meets the equalities to 1e-12, so the IPM takes the solve
+    members = isotropic_assemblage(0.3, [PX, PY, PZ])
+    members[0][0] = members[0][0] + 1e-9 * PZ
+    assert sdp_problem._exact_zero_weight(
+        SteeringWeightProblem(members)) is None
+    assert solve_steering_weight(members).iterations > 0
+
+
+def test_zero_exit_skips_reflections_when_rank_deficient(monkeypatch):
+    # a floor <= 0 member leaves no room for the shrunken cone; the
+    # reflections are the exit's only eigh calls
+    def no_reflections(*_):
+        raise AssertionError("reflection ran")
+
+    full_rank = SteeringWeightProblem(_ising_region(5, 20.0,
+                                                    ("q3", "q4", "q5")))
+    rank_deficient = SteeringWeightProblem(_ising_region(5, 0.0,
+                                                         ("q1", "q2")))
+    monkeypatch.setattr(np.linalg, "eigh", no_reflections)
+    with pytest.raises(AssertionError, match="reflection ran"):
+        sdp_problem._exact_zero_weight(full_rank)
+    assert sdp_problem._exact_zero_weight(rank_deficient) is None
+
+
+def test_zero_exit_at_member_dimension_32():
+    # region D of the CLI default n = 7: past the point where the
+    # interior-point method takes tens of seconds
+    members = _ising_region(7, 20.0, tuple(f"q{i}" for i in range(3, 8)))
+    sol = solve_steering_weight(members)
+    assert len(members[0][0]) == 32
+    assert sol.status == "Optimal" and sol.iterations == 0
+    assert sol.steerable_weight <= 1e-12
+    assert verify_certificate(members, sol)
