@@ -16,8 +16,7 @@ from .models import (build_ising, build_syk, clifford_scan_unitary,
 from .channels import (ChoiState, PartitionSpec, PseudoDensityMatrix,
                        build_choi, build_pdm, haar_scrambled_baseline,
                        tripartite_mutual_information)
-from .steering import (Assemblage, BoundTrackingAccelerator,
-                       MeasurementSet, WitnessRecord,
+from .steering import (Assemblage, MeasurementSet, WitnessRecord,
                        encode_and_evolve, minus_t3, reduce_assemblage,
                        temporal_steerable_weight, total_steerable_weight)
 from .sdp import (first_order_steering_weight, solve_steering_weight,
@@ -37,8 +36,7 @@ __all__ = [
     "clifford_scrambler_unitary", "haar_random_unitary", "PauliString",
     "ChoiState", "PartitionSpec", "PseudoDensityMatrix", "build_choi",
     "build_pdm", "haar_scrambled_baseline", "tripartite_mutual_information",
-    "Assemblage", "BoundTrackingAccelerator", "MeasurementSet",
-    "WitnessRecord",
+    "Assemblage", "MeasurementSet", "WitnessRecord",
     "encode_and_evolve", "minus_t3", "reduce_assemblage",
     "temporal_steerable_weight", "total_steerable_weight",
     "first_order_steering_weight", "solve_steering_weight",

@@ -22,7 +22,7 @@ import numpy as np
 from .qla import Propagator
 from .models import build_ising, build_syk, clifford_scan_unitary
 from .channels import PartitionSpec, build_choi, tripartite_mutual_information
-from .steering import BoundTrackingAccelerator, MeasurementSet, minus_t3
+from .steering import MeasurementSet, minus_t3
 
 CSV_HEADER = ["t", "minusI3", "minusT3", "IAC", "IAD",
               "TSWC", "TSWD", "TSWtot", "status"]
@@ -62,6 +62,11 @@ class ExperimentConfig:
             raise ValueError("t_start must be nonnegative")
         if self.t_max and self.t_max <= self.t_start:
             raise ValueError("t_max must exceed t_start")
+        coupling = {"ising": ("g", self.g),
+                    "syk": ("j_coupling", self.j_coupling)}.get(self.model)
+        if not self.t_max and coupling and coupling[1] == 0:
+            raise ValueError(f"model {self.model!r} with {coupling[0]} = 0 "
+                             "has no default horizon; set t_max (--tmax)")
 
     @classmethod
     def from_json(cls, path: str, **overrides) -> "ExperimentConfig":
@@ -89,7 +94,7 @@ class ExperimentConfig:
             return SYK_T_MAX / self.j_coupling
         if self.model == "clifford":
             return float(np.pi)
-        return SPIN_T_MAX / max(abs(self.g), 1e-12)
+        return SPIN_T_MAX / abs(self.g)
 
     def to_dict(self) -> Dict:
         return asdict(self)
@@ -214,12 +219,11 @@ def save_unitary_file(path: str, unitary: np.ndarray) -> None:
 
 
 def _witness_row(t: float, unitary: np.ndarray, partition: PartitionSpec,
-                 ms: MeasurementSet, gap_tol: float,
-                 accel: Optional[BoundTrackingAccelerator]) -> ScanRow:
+                 ms: MeasurementSet, gap_tol: float) -> ScanRow:
     tmi = tripartite_mutual_information(build_choi(unitary), partition)
     try:
         rec = minus_t3(unitary, partition.region_c, partition.region_d,
-                       measurements=ms, gap_tol=gap_tol, accelerator=accel)
+                       measurements=ms, gap_tol=gap_tol)
     except Exception as exc:
         nan = float("nan")
         return ScanRow(t, tmi.minus_i3, nan, tmi.i_ac, tmi.i_ad,
@@ -245,9 +249,8 @@ def _scan_worker_chunk(times: Sequence[float]) -> List[ScanRow]:
     prop: Propagator = _worker_state["prop"]
     partition = PartitionSpec.leading(config.n, config.resolved_n_c())
     ms = MeasurementSet.pauli(config.measurements)
-    accel = BoundTrackingAccelerator()
     return [_witness_row(t, prop.unitary(t), partition, ms,
-                         config.sdp_gap_tol, accel) for t in times]
+                         config.sdp_gap_tol) for t in times]
 
 
 def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
@@ -256,10 +259,8 @@ def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
     ``progress(done, total)``, if given, is called after each grid point,
     or after each chunk when ``jobs > 1``.  With ``jobs > 1`` the grid is
     split into contiguous chunks handled by worker processes, and the
-    rows come back in grid order.  Exact and certified-zero rows do not
-    depend on the chunking.  A "bounded" row does: its bound starts from
-    the previous bounded point of the same chunk, so with other chunks it
-    can differ in the last digits.
+    rows come back in grid order.  Every row depends on its own time
+    alone, so rows do not depend on the chunking or the grid around them.
     """
     if config.model == "clifford":
         return run_clifford_scan(config)
@@ -269,7 +270,7 @@ def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
         config = replace(config, n=n)
         partition = PartitionSpec.leading(n, config.resolved_n_c())
         ms = MeasurementSet.pauli(config.measurements)
-        row = _witness_row(0.0, unitary, partition, ms, config.sdp_gap_tol, None)
+        row = _witness_row(0.0, unitary, partition, ms, config.sdp_gap_tol)
         return ScramblingReport(config, [row])
 
     prop = model_propagator(config)
@@ -279,11 +280,10 @@ def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
 
     jobs = max(1, config.jobs)
     if jobs == 1:
-        accel = BoundTrackingAccelerator()
         rows = []
         for i, t in enumerate(times):
             rows.append(_witness_row(float(t), prop.unitary(float(t)),
-                                     partition, ms, config.sdp_gap_tol, accel))
+                                     partition, ms, config.sdp_gap_tol))
             if progress is not None:
                 progress(i + 1, len(times))
         return ScramblingReport(config, rows)
@@ -315,7 +315,7 @@ def run_clifford_scan(config: Optional[ExperimentConfig] = None,
     partition = PartitionSpec.leading(3, config.resolved_n_c())
     ms = MeasurementSet.pauli(config.measurements)
     rows = [_witness_row(float(th), clifford_scan_unitary(float(th)),
-                         partition, ms, config.sdp_gap_tol, None)
+                         partition, ms, config.sdp_gap_tol)
             for th in thetas]
     return ScramblingReport(config, rows)
 

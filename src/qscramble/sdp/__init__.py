@@ -1,7 +1,8 @@
 """Steerable-weight semidefinite programming.
 
 Public surface: strategy enumeration, the steering-weight problem with
-its interior-point solver and certificates, and a first-order oracle
+its interior-point solver and certificates, a certified bound for
+regions past the solver's envelope, and a first-order oracle
 used to cross-check the solver in tests.
 """
 
@@ -9,7 +10,8 @@ from ._kernels import congruence_rep, smat, svec, svec_indices
 from .firstorder import FirstOrderResult, first_order_steering_weight
 from .ipm import ConicResult, NumericalFailure, solve_conic
 from .problem import (SdpSolution, SteeringWeightProblem,
-                      solve_steering_weight, verify_certificate)
+                      bound_steering_weight, solve_steering_weight,
+                      verify_certificate)
 from .strategies import (MAX_STRATEGIES, DeterministicStrategy,
                          enumerate_strategies)
 
@@ -25,6 +27,7 @@ __all__ = [
     "solve_conic",
     "SdpSolution",
     "SteeringWeightProblem",
+    "bound_steering_weight",
     "solve_steering_weight",
     "verify_certificate",
     "MAX_STRATEGIES",

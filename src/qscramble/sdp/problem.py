@@ -26,6 +26,12 @@ returned as exactly 1 with a synthesized dual certificate (the second
 exit); for full-rank assemblages the reduction is the identity and adds
 no work.  Whatever remains goes to the interior-point solver, which
 refuses Schur systems past ``_SCHUR_BYTE_CAP``.
+
+For regions it refuses, :func:`bound_steering_weight` proves an upper
+bound TSW <= 1 - m from an explicit local model of mass m.  It runs the
+exact-zero exit's search from the same least-norm model, with more
+rounds and toward the PSD cone itself, then scales the result to exact
+feasibility.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import ipm
-from .strategies import DeterministicStrategy, enumerate_strategies, selection
+from .strategies import enumerate_strategies, selection
 
 #: refuse interior-point solves whose dense Schur factor would not fit in
 #: memory; 64-dimensional members need ~4.8 GB, well past a small box
@@ -50,6 +56,12 @@ _INTERSECT_TOL = 1e-9
 ZERO_EXIT_ROUNDS = 20
 #: largest equality residual of a local model the exact-zero exit accepts
 ZERO_EXIT_RESIDUAL = 1e-12
+#: widest accepted bound 1 - m on the steerable weight of a large region
+BOUND_TOL = 1e-6
+#: averaged reflections per bounded solve
+MAX_ROUNDS = 4000
+#: reflections without halving the PSD deficit before a search gives up
+_STALL_ROUNDS = 400
 
 
 @dataclass
@@ -325,31 +337,12 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     is dual feasible with value sum_x tr(sum_a sigma_{a|x})/n_settings = 1,
     which proves mu* <= 1.  Returns None when no such model turns up.
     """
-    _, a_mat, pinv = selection(problem.n_settings, problem.n_outcomes)
-    flat = np.stack([m for row in problem.members for m in row])
-    seed = _hermitian(np.einsum("lr,rij->lij", pinv, flat))
-    hidden = seed
-    lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
+    flat, a_mat, seed, to_null, floor = _least_norm_model(problem)
+    eps = 1e-3 * floor / len(seed)
+    rounds = ZERO_EXIT_ROUNDS if floor > 0.0 else 0
+    hidden, lam_min = _reflect(seed, to_null, eps, rounds, 0.0)
     if lam_min < 0.0:
-        floor = float(np.linalg.eigvalsh(flat)[:, 0].min())
-        if floor <= 0.0:
-            return None
-        eps = 1e-3 * floor / len(pinv)
-        # affine projection z -> seed + (1 - pinv A) z
-        to_null = np.eye(len(pinv)) - pinv @ a_mat
-        state = seed
-        for _ in range(ZERO_EXIT_ROUNDS):
-            ev, vec = np.linalg.eigh(2.0 * hidden - state)
-            cone = (vec * np.maximum(ev, eps)[:, None, :]) \
-                @ vec.conj().swapaxes(-1, -2)
-            state = state + cone - hidden
-            hidden = _hermitian(seed + np.einsum("lk,kij->lij", to_null,
-                                                 state))
-            lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
-            if lam_min >= 0.0:
-                break
-        else:
-            return None
+        return None
     resid = np.einsum("rl,lij->rij", a_mat, hidden) - flat
     if np.abs(resid).max() > ZERO_EXIT_RESIDUAL:
         return None
@@ -358,6 +351,104 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     certificate = [[f.copy() for _ in range(problem.n_outcomes)]
                    for _ in range(problem.n_settings)]
     return SdpSolution(mu, list(hidden), certificate, "Optimal", 0.0, 0)
+
+
+def bound_steering_weight(members) -> SdpSolution:
+    """Certified upper bound on the steerable weight from a local model.
+
+    For regions past the interior-point envelope whose weight the
+    exact-zero exit could not certify.  Starting from the same
+    least-norm model, up to ``MAX_ROUNDS`` averaged reflections toward
+    the PSD cone {sigma >= 0} look for a nearly PSD point of the affine
+    set; :func:`_certify` then scales it to an exactly feasible model of
+    mass m, which proves TSW <= 1 - m.  Returns status "Bounded" with
+    the bound 1 - m as the weight and as ``gap``, no dual certificate
+    and 0 iterations; raises :class:`ipm.NumericalFailure` when
+    1 - m exceeds ``BOUND_TOL``.  The result depends on the members
+    alone.
+    """
+    problem = SteeringWeightProblem(members)
+    flat, a_mat, seed, to_null, floor = _least_norm_model(problem)
+    target = max(0.25 * BOUND_TOL * max(floor, 0.0), 1e-13)
+    hidden, _ = _reflect(seed, to_null, 0.0, MAX_ROUNDS, target)
+    mu, model = _certify(flat, a_mat, hidden, floor)
+    if mu < 1.0 - BOUND_TOL:
+        raise ipm.NumericalFailure(
+            f"local model certifies only mass {mu:.9f} at member "
+            f"dimension {problem.dim}; weight bound exceeds {BOUND_TOL:g}")
+    return SdpSolution(mu, list(model), None, "Bounded", 1.0 - mu, 0)
+
+
+def _least_norm_model(problem: SteeringWeightProblem):
+    """Members stacked setting-major, the selection map A, the least-norm
+    model pinv @ members, the null-space projector 1 - pinv A and the
+    smallest member eigenvalue."""
+    a_mat, pinv = selection(problem.n_settings, problem.n_outcomes)
+    flat = np.stack([m for row in problem.members for m in row])
+    seed = _hermitian(np.einsum("lr,rij->lij", pinv, flat))
+    to_null = np.eye(len(pinv)) - pinv @ a_mat
+    floor = float(np.linalg.eigvalsh(flat)[:, 0].min())
+    return flat, a_mat, seed, to_null, floor
+
+
+def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
+             rounds: int, tol: float):
+    """Averaged alternating reflections between the affine set
+    seed + (1 - pinv A) z and the cone {sigma >= shift I}.
+
+    Stops once the smallest eigenvalue of the affine-exact iterate is at
+    least -``tol``, after ``rounds`` reflections, or when that eigenvalue
+    has not halved its deficit for ``_STALL_ROUNDS`` rounds.  Returns the
+    affine-exact iterate and its smallest eigenvalue.
+    """
+    state = hidden = seed
+    lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
+    best, stale = -lam_min, 0
+    for _ in range(rounds):
+        if lam_min >= -tol or stale >= _STALL_ROUNDS:
+            break
+        ev, vec = np.linalg.eigh(2.0 * hidden - state)
+        cone = (vec * np.maximum(ev, shift)[:, None, :]) \
+            @ vec.conj().swapaxes(-1, -2)
+        state = state + cone - hidden
+        hidden = _hermitian(seed + np.einsum("lk,kij->lij", to_null, state))
+        lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
+        if -lam_min < 0.5 * best:
+            best, stale = -lam_min, 0
+        else:
+            stale += 1
+    return hidden, lam_min
+
+
+def _certify(flat: np.ndarray, a_mat: np.ndarray, hidden: np.ndarray,
+             floor: float):
+    """Rigorous feasible mass of a candidate local model.
+
+    Clips every state to the PSD cone, then removes any remaining
+    constraint violation v by the exact bound v*I <= (v/f)*sigma_{a|x}
+    with f = ``floor``, the smallest member eigenvalue, so dividing the
+    model by (1 + v/f) is provably feasible.  Returns (mass, model), with
+    mass 0 when a member is too close to singular for that argument or
+    the scaled model still violates a constraint.
+    """
+    ev, vec = np.linalg.eigh(hidden)
+    model = (vec * np.maximum(ev, 0.0)[:, None, :]) \
+        @ vec.conj().swapaxes(-1, -2)
+    vio = max(0.0, -_slack_floor(flat, a_mat, model))
+    if vio > 0.0:
+        if floor <= 4.0 * vio:
+            return 0.0, model
+        model = model / (1.0 + vio / floor)
+    if _slack_floor(flat, a_mat, model) < -1e-12:
+        return 0.0, model
+    return float(np.trace(model, axis1=1, axis2=2).real.sum()), model
+
+
+def _slack_floor(flat: np.ndarray, a_mat: np.ndarray,
+                 model: np.ndarray) -> float:
+    """Smallest eigenvalue of any sigma_{a|x} - sum_{lam selects} sigma_lam."""
+    slack = flat - np.einsum("rl,lij->rij", a_mat, model)
+    return float(np.linalg.eigvalsh(_hermitian(slack))[:, 0].min())
 
 
 def _hermitian(stack: np.ndarray) -> np.ndarray:

@@ -54,26 +54,23 @@ def selection(n_settings: int, n_outcomes: int):
     """The 0/1 map from strategies to members and its pseudoinverse.
 
     Members are flattened setting-major, r = x * n_outcomes + a.  Returns
-    ``(sel, a_mat, pinv)``: ``sel[r]`` lists the strategies that answer a
-    to setting x, ``a_mat[r, lam]`` is 1 exactly for those, and ``pinv``
-    is the Moore-Penrose pseudoinverse of ``a_mat``.  Cached per scenario
-    shape; the arrays are read-only.
+    ``(a_mat, pinv)``: ``a_mat[r, lam]`` is 1 exactly for the strategies
+    that answer a to setting x, and ``pinv`` is the Moore-Penrose
+    pseudoinverse of ``a_mat``.  Cached per scenario shape; the arrays
+    are read-only.
     """
     key = (n_settings, n_outcomes)
     cached = _SELECTION_CACHE.get(key)
     if cached is not None:
         return cached
     strategies = enumerate_strategies(n_settings, n_outcomes)
-    sel = []
     a_mat = np.zeros((n_settings * n_outcomes, len(strategies)))
-    for x in range(n_settings):
-        for a in range(n_outcomes):
-            idx = [s.index for s in strategies if s.outcomes[x] == a]
-            a_mat[len(sel), idx] = 1.0
-            sel.append(idx)
+    for strat in strategies:
+        for x, a in enumerate(strat.outcomes):
+            a_mat[x * n_outcomes + a, strat.index] = 1.0
     pinv = np.linalg.pinv(a_mat)
     a_mat.flags.writeable = False
     pinv.flags.writeable = False
-    cached = (sel, a_mat, pinv)
+    cached = (a_mat, pinv)
     _SELECTION_CACHE[key] = cached
     return cached

@@ -29,9 +29,8 @@ import numpy as np
 from .qla import (ComplexMatrix, DensityMatrix, QubitRegister, half_blocks,
                   partial_trace)
 from .models import haar_random_unitary, pauli_matrix
-from .sdp import SdpSolution, solve_steering_weight
+from .sdp import bound_steering_weight, solve_steering_weight
 from .sdp.ipm import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL, NumericalFailure
-from .sdp.strategies import selection
 
 _PAULI_BY_AXIS = {"x": pauli_matrix("X"), "y": pauli_matrix("Y"),
                   "z": pauli_matrix("Z")}
@@ -221,9 +220,7 @@ class WitnessRecord:
 def minus_t3(unitary: ComplexMatrix, region_c: Sequence[str],
              region_d: Sequence[str],
              measurements: Optional[MeasurementSet] = None,
-             gap_tol: float = DEFAULT_GAP_TOL,
-             accelerator: Optional[BoundTrackingAccelerator] = None
-             ) -> WitnessRecord:
+             gap_tol: float = DEFAULT_GAP_TOL) -> WitnessRecord:
     """Temporal-steering scrambling witness of a unitary.
 
     -T3 = TSW[total] - TSW[C] - TSW[D] for the measure-then-evolve
@@ -232,15 +229,12 @@ def minus_t3(unitary: ComplexMatrix, region_c: Sequence[str],
     TSW = 0 at any member dimension when a local model of mass 1 turns
     up.  A region that fails that test goes on to the interior-point
     SDP.  Full-rank regions above ``EXACT_DIM`` are past the solver's
-    Schur-memory cap, which refuses them, and ``accelerator`` certifies
-    an upper bound for them instead (status "bounded").  Pass one
-    :class:`BoundTrackingAccelerator` along a scan so each bound starts
-    from the previous bounded point's model; without one a fresh bounder
-    is used.
+    Schur-memory cap, which refuses them, and
+    :func:`bound_steering_weight` certifies an upper bound for them
+    instead (status "bounded").  Every weight depends on this unitary
+    alone, never on earlier calls.
     """
     ms = measurements or MeasurementSet.pauli()
-    if accelerator is None:
-        accelerator = BoundTrackingAccelerator()
     total = encode_and_evolve(unitary, ms)
     tsw_tot = total_steerable_weight(ms, gap_tol=gap_tol)
     parts = {}
@@ -252,7 +246,7 @@ def minus_t3(unitary: ComplexMatrix, region_c: Sequence[str],
             except NumericalFailure:
                 if asm.dim <= EXACT_DIM:
                     raise
-                sol = accelerator.try_solve(name, asm)
+                sol = bound_steering_weight(asm.members)
         except NumericalFailure as exc:
             raise NumericalFailure(f"region {name}: {exc}") from exc
         parts[name] = sol
@@ -287,148 +281,3 @@ def tsw_unitary_invariance_check(assemblage: Assemblage, seeds=(0, 1, 2),
 #: interior-point solve as a failure; larger refused regions get a
 #: certified bound instead
 EXACT_DIM = 32
-#: widest accepted bound 1 - m on the steerable weight of a large region
-BOUND_TOL = 1e-6
-#: averaged-reflection rounds per bounded solve
-MAX_ROUNDS = 4000
-
-
-class BoundTrackingAccelerator:
-    """Certified steerable-weight bounds for regions past the exact solver.
-
-    Regions above ``EXACT_DIM`` are past the interior-point solver's
-    memory envelope.  :func:`minus_t3` calls the bounder only for those
-    that the solver's exact-zero exit could not certify; on the 41-point
-    SYK n=8 scan of ``scanbench`` that is none of them.  For them the
-    weight is bounded by an explicit local model with mass m, which
-    proves TSW <= 1 - m.  The model is found by exploiting that such
-    regions stay near the trivial assemblage sigma_{a|x} ~ p(a|x) I/d on
-    scrambling scans: the least-norm solution of the exact decomposition
-    sum_lam D sigma_lam = sigma_{a|x} (mass exactly 1) is refined into the
-    PSD cone by averaged alternating reflections between the cone and the
-    affine constraint set, then certified by :meth:`_certify`.  Points
-    are accepted only when 1 - m <= ``BOUND_TOL`` and reported with
-    status "Bounded", the interval width in ``gap``, and the upper bound
-    1 - m as the weight; others fail like any solver failure.  The
-    reflection state is carried between calls per region key, so one
-    instance should follow a scan's grid: consecutive bounded points then
-    cost only a few sweeps deep in the scrambled phase, and a bound
-    depends on the points before it.
-    """
-
-    def __init__(self):
-        self._tracked: Dict[str, List[np.ndarray]] = {}
-
-    def _project_affine(self, flat_members, sel, pinv,
-                        hidden: List[np.ndarray]) -> List[np.ndarray]:
-        resid = [sum(hidden[i] for i in idx) - m
-                 for idx, m in zip(sel, flat_members)]
-        out = []
-        for lam in range(len(hidden)):
-            corr = sum(pinv[lam, r] * resid[r] for r in range(len(resid)))
-            out.append(hidden[lam] - corr)
-        return out
-
-    def _seed(self, flat_members, sel, pinv, n_strat: int,
-              dim: int) -> List[np.ndarray]:
-        base = np.eye(dim, dtype=complex) / (n_strat * dim)
-        excess = [m - np.trace(m).real * np.eye(dim) / dim
-                  for m in flat_members]
-        hidden = []
-        for lam in range(n_strat):
-            corr = sum(pinv[lam, r] * excess[r] for r in range(len(excess)))
-            hidden.append(base + corr)
-        return hidden
-
-    def try_solve(self, key: str, assemblage: Assemblage) -> SdpSolution:
-        """Certified bound on the weight of ``assemblage``, tracked under
-        ``key``; raises :class:`NumericalFailure` past ``BOUND_TOL``."""
-        d = assemblage.dim
-        n_set, n_out = assemblage.n_settings, assemblage.n_outcomes
-        sel, _, pinv = selection(n_set, n_out)
-        flat = [assemblage.members[x][a]
-                for x in range(n_set) for a in range(n_out)]
-        floor = min(float(np.linalg.eigvalsh(m)[0]) for m in flat)
-        seeds = []
-        if key in self._tracked and self._tracked[key][0].shape[0] == d:
-            seeds.append(self._tracked[key])
-        seeds.append(None)
-        best = None
-        for seed in seeds:
-            if seed is None:
-                seed = self._seed(flat, sel, pinv, len(pinv), d)
-            state, hidden = self._reflect(flat, sel, pinv, seed, floor)
-            cert = self._certify(flat, sel, hidden, floor)
-            if cert is not None and (best is None or cert[0] > best[0]):
-                best = (cert[0], cert[1], state)
-            if best is not None and best[0] >= 1.0 - BOUND_TOL:
-                break
-        if best is None or best[0] < 1.0 - BOUND_TOL:
-            got = "none" if best is None else f"{best[0]:.9f}"
-            raise NumericalFailure(
-                f"local model certifies only mass {got} at member "
-                f"dimension {d}; weight bound exceeds {BOUND_TOL:g}")
-        mu, hidden, state = best
-        self._tracked[key] = state
-        return SdpSolution(mu, hidden, None, "Bounded", 1.0 - mu, 0)
-
-    def _certify(self, flat_members, sel, hidden: List[np.ndarray],
-                 floor: float):
-        """Rigorous feasible mass of a candidate local model.
-
-        Clips every state to the PSD cone, then removes any remaining
-        constraint violation v by the exact bound v*I <= (v/f)*sigma_{a|x}
-        with f = ``floor``, the smallest member eigenvalue, so dividing
-        the model by (1 + v/f) is provably feasible.  Returns (mass, model)
-        or None when a member is too close to singular for that argument.
-        """
-        clipped = []
-        for h in hidden:
-            ev, vec = np.linalg.eigh(0.5 * (h + h.conj().T))
-            clipped.append((vec * np.clip(ev, 0.0, None)) @ vec.conj().T)
-        vio = 0.0
-        for idx, m in zip(sel, flat_members):
-            gap = m - sum(clipped[i] for i in idx)
-            vio = max(vio, -float(np.linalg.eigvalsh(
-                0.5 * (gap + gap.conj().T))[0]))
-        scale = 1.0
-        if vio > 0.0:
-            if floor <= 4.0 * vio:
-                return None
-            scale = 1.0 / (1.0 + vio / floor)
-        clipped = [scale * h for h in clipped]
-        for idx, m in zip(sel, flat_members):
-            gap = m - sum(clipped[i] for i in idx)
-            if float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[0]) < -1e-12:
-                return None
-        mu = float(sum(np.trace(h).real for h in clipped))
-        return mu, clipped
-
-    def _reflect(self, flat_members, sel, pinv, state: List[np.ndarray],
-                 floor: float):
-        """Averaged alternating reflections toward the exact-equality
-        PSD model; returns (driver state, affine-exact iterate)."""
-        target = max(0.25 * BOUND_TOL * max(floor, 0.0), 1e-13)
-        state = [s.copy() for s in state]
-        best_vio, stale = np.inf, 0
-        shadow = state
-        for _ in range(MAX_ROUNDS):
-            shadow = self._project_affine(flat_members, sel, pinv, state)
-            vio = 0.0
-            reflected = []
-            for lam, y in enumerate(shadow):
-                vio = max(vio, -float(np.linalg.eigvalsh(y)[0]))
-                z = 2.0 * y - state[lam]
-                ev, vec = np.linalg.eigh(0.5 * (z + z.conj().T))
-                reflected.append((vec * np.clip(ev, 0.0, None)) @ vec.conj().T)
-            if vio <= target:
-                return state, shadow
-            if vio < 0.5 * best_vio:
-                best_vio, stale = vio, 0
-            else:
-                stale += 1
-                if stale >= 400:
-                    break
-            for lam in range(len(state)):
-                state[lam] = state[lam] + reflected[lam] - shadow[lam]
-        return state, self._project_affine(flat_members, sel, pinv, state)

@@ -161,6 +161,16 @@ def test_verify_subcommand_quick_subset(capsys):
     assert "backend=" not in header
 
 
+def test_zero_coupling_without_horizon_is_a_clean_error(capsys):
+    rc = cli.main(["scan", "--model", "syk", "--J", "0", "--points", "2"])
+    assert rc == 2
+    assert "error: model 'syk' with j_coupling = 0 has no default horizon" \
+        in capsys.readouterr().err
+    rc = cli.main(["scan", "--model", "ising", "--g", "0", "--points", "2"])
+    assert rc == 2
+    assert "with g = 0 has no default horizon" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_nonzero():
     with pytest.raises(SystemExit):
         cli.main(["scan", "--model", "warp-drive"])

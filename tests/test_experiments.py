@@ -12,6 +12,7 @@ from qscramble.experiments import (CSV_HEADER, ExperimentConfig,
                                    save_unitary_file, size_sweep)
 from qscramble.models import haar_random_unitary
 from qscramble import steering
+from qscramble.sdp import problem as sdp_problem
 from qscramble.plotting import write_scan_svg
 from qscramble.sdp import NumericalFailure
 
@@ -27,6 +28,11 @@ def test_config_validation():
         ExperimentConfig(t_start=-0.5)
     with pytest.raises(ValueError):
         ExperimentConfig(t_start=2.0, t_max=1.0)
+    for model, coupling in (("syk", "j_coupling"), ("ising", "g")):
+        with pytest.raises(ValueError, match="no default horizon"):
+            ExperimentConfig(model=model, **{coupling: 0.0})
+        assert ExperimentConfig(model=model, t_max=3.0,
+                                **{coupling: 0.0}).resolved_t_max() == 3.0
 
 
 def test_config_partition_defaults():
@@ -133,6 +139,22 @@ def test_run_scan_jobs_leave_rows_unchanged():
     seq = run_scan(cfg)
     par = run_scan(ExperimentConfig(**{**cfg.to_dict(), "jobs": 2}))
     assert seq.to_csv() == par.to_csv()
+
+
+def test_bounded_rows_do_not_depend_on_the_grid(monkeypatch):
+    # with the exact-zero exit off, region D (dimension 64) is bounded at
+    # every point; t = 2.0 must not depend on the point scanned before it
+    monkeypatch.setattr(sdp_problem, "_exact_zero_weight", lambda p: None)
+
+    def row_at_2(t_start, t_max):
+        cfg = ExperimentConfig(model="ising", n=8, g=1.0, h=0.5, points=2,
+                               t_start=t_start, t_max=t_max)
+        rows = run_scan(cfg).to_csv().splitlines()[1:]
+        return [r for r in rows if r.startswith("2,")]
+
+    after = row_at_2(1.5, 2.0)
+    assert len(after) == 1 and after[0].endswith(",bounded")
+    assert after == row_at_2(2.0, 2.5)
 
 
 def test_run_scan_records_per_row_failures(monkeypatch):

@@ -6,10 +6,11 @@ from qscramble.channels import PartitionSpec
 from qscramble.models import (build_ising, clifford_scrambler_unitary,
                               haar_random_unitary, random_local_unitary)
 from qscramble.qla import Propagator
-from qscramble.sdp import NumericalFailure
+from qscramble import steering
+from qscramble.sdp import NumericalFailure, bound_steering_weight
 from qscramble.sdp import problem as sdp_problem
-from qscramble.steering import (Assemblage, BoundTrackingAccelerator,
-                                MeasurementSet,
+from qscramble.sdp.strategies import enumerate_strategies
+from qscramble.steering import (Assemblage, MeasurementSet,
                                 encode_and_evolve, minus_t3,
                                 reduce_assemblage, temporal_steerable_weight,
                                 total_steerable_weight,
@@ -155,33 +156,76 @@ def test_local_unitary_cannot_scramble(rng):
     assert abs(rec.minus_t3) < 2e-6
 
 
-def test_bound_tracker_small_dims_defer_to_exact():
+def test_bound_small_dims_defer_to_exact(monkeypatch):
+    def refuse(members):
+        raise AssertionError("bound used for a region within EXACT_DIM")
+
+    monkeypatch.setattr(steering, "bound_steering_weight", refuse)
     prop = Propagator(build_ising(3, 1.0, 0.5).matrix())
-    accel = BoundTrackingAccelerator()
-    rec = minus_t3(prop.unitary(0.8), ("q1", "q2"), ("q3",), accelerator=accel)
+    rec = minus_t3(prop.unitary(0.8), ("q1", "q2"), ("q3",))
     assert rec.status == "ok"
     assert rec == minus_t3(prop.unitary(0.8), ("q1", "q2"), ("q3",))
 
 
-@pytest.mark.parametrize("accelerator", [BoundTrackingAccelerator(), None],
-                         ids=["given", "default"])
-def test_bound_tracker_certifies_large_region(accelerator):
-    # region D has dimension 64: the interior point method is out of its
-    # envelope there.  The exact-zero exit certifies TSW_D = 0, and the
-    # bounder, called directly, still pins TSW_D ~ 0 with a local model
+def _ising8_region_d(t):
     prop = Propagator(build_ising(8, 1.0, 0.5).matrix())
-    region_d = tuple(f"q{i}" for i in range(3, 9))
-    unitary = prop.unitary(2.0)
-    rec = minus_t3(unitary, ("q1", "q2"), region_d, accelerator=accelerator)
+    return prop.unitary(t), tuple(f"q{i}" for i in range(3, 9))
+
+
+def test_exit_certifies_large_region():
+    # region D has dimension 64: the interior point method is out of its
+    # envelope there, and the exact-zero exit certifies TSW_D = 0
+    unitary, region_d = _ising8_region_d(2.0)
+    rec = minus_t3(unitary, ("q1", "q2"), region_d)
     assert rec.status == "ok"
     assert 0.0 <= rec.tsw_d <= 1e-12
     assert rec.minus_t3 == pytest.approx(
         rec.tsw_total - rec.tsw_c - rec.tsw_d, abs=1e-15)
+
+
+def test_bound_certifies_large_region():
+    # the bound, called directly on the same d=64 region, still pins
+    # TSW_D ~ 0 with a local model
+    unitary, region_d = _ising8_region_d(2.0)
     asm = reduce_assemblage(encode_and_evolve(unitary, MeasurementSet.pauli()),
                             region_d)
-    sol = (accelerator or BoundTrackingAccelerator()).try_solve("D", asm)
+    sol = bound_steering_weight(asm.members)
     assert sol.status == "Bounded"
     assert 0.0 <= 1.0 - sol.mu_star <= 1e-6
+
+
+def test_minus_t3_bounds_large_region_when_exit_fails(monkeypatch):
+    # with the exact-zero exit off, region D (dimension 64) is refused by
+    # the interior-point solver and must fall back to a certified bound
+    monkeypatch.setattr(sdp_problem, "_exact_zero_weight", lambda p: None)
+    bounds = []
+
+    def spy(members):
+        sol = bound_steering_weight(members)
+        bounds.append((members, sol))
+        return sol
+
+    monkeypatch.setattr(steering, "bound_steering_weight", spy)
+    unitary, region_d = _ising8_region_d(2.0)
+    rec = minus_t3(unitary, ("q1", "q2"), region_d)
+    assert rec.status == "bounded" and rec.status_d == "Bounded"
+    assert 0.0 <= rec.tsw_d <= 1e-6
+    assert len(bounds) == 1
+    members, sol = bounds[0]
+    assert members[0][0].shape == (64, 64)
+    assert rec.tsw_d == sol.steerable_weight
+    # the model is a feasible local model, checked from scratch (states
+    # are PSD up to the rounding of their eigendecomposition)
+    for h in sol.hidden_states:
+        assert np.linalg.eigvalsh(h).min() >= -1e-15
+    for x, row in enumerate(members):
+        for a, m in enumerate(row):
+            chosen = sum(sol.hidden_states[s.index]
+                         for s in enumerate_strategies(3, 2)
+                         if s.outcomes[x] == a)
+            assert np.linalg.eigvalsh(m - chosen).min() >= -1e-12
+    assert sum(np.trace(h).real for h in sol.hidden_states) == \
+        pytest.approx(sol.mu_star, abs=1e-12)
 
 
 def test_schur_cap_raises_clean_failure(rng, monkeypatch):
