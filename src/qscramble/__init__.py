@@ -16,9 +16,9 @@ from .models import (build_ising, build_syk, clifford_scan_unitary,
 from .channels import (ChoiState, PartitionSpec, PseudoDensityMatrix,
                        build_choi, build_pdm, haar_scrambled_baseline,
                        tripartite_mutual_information)
-from .steering import (Assemblage, MeasurementSet, WitnessRecord,
-                       encode_and_evolve, minus_t3, reduce_assemblage,
-                       temporal_steerable_weight, total_steerable_weight)
+from .steering import (Assemblage, MeasurementSet, WitnessRecord, minus_t3,
+                       temporal_assemblage, temporal_steerable_weight,
+                       total_steerable_weight)
 from .sdp import (first_order_steering_weight, solve_steering_weight,
                   verify_certificate)
 from .experiments import (BackflowResult, ExperimentConfig,
@@ -37,8 +37,8 @@ __all__ = [
     "ChoiState", "PartitionSpec", "PseudoDensityMatrix", "build_choi",
     "build_pdm", "haar_scrambled_baseline", "tripartite_mutual_information",
     "Assemblage", "MeasurementSet", "WitnessRecord",
-    "encode_and_evolve", "minus_t3", "reduce_assemblage",
-    "temporal_steerable_weight", "total_steerable_weight",
+    "minus_t3", "temporal_assemblage", "temporal_steerable_weight",
+    "total_steerable_weight",
     "first_order_steering_weight", "solve_steering_weight",
     "verify_certificate",
     "BackflowResult", "ExperimentConfig", "ScramblingReport",

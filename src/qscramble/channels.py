@@ -15,7 +15,12 @@ A unitary channel on N qubits is turned into a state in two ways:
 
 The tripartite information of the channel is evaluated on the Choi state:
 with reference A and an output split C|D, scrambling shows up as
--I3 = I(A:CD) - I(A:C) - I(A:D) approaching its maximum.
+-I3 = I(A:CD) - I(A:C) - I(A:D) approaching its maximum.  The same state
+carries the temporal-steering witness: :func:`steering.temporal_assemblage`
+reads each region's assemblage off the marginal rho_{r1 R} by the Born
+rule, so a scan point builds one Choi state for both witnesses.  The
+PDM's own Born rule (:func:`assemblage_from_pdm`) is the independent
+route to the same members.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qla import (ComplexMatrix, DensityMatrix, QubitRegister, half_blocks,
-                  kron, mutual_information, partial_trace, partial_transpose)
+from .qla import (ComplexMatrix, DensityMatrix, QubitRegister, kron,
+                  mutual_information, partial_trace, partial_transpose)
 from .models import haar_random_unitary, pauli_basis_labels, pauli_matrix
 
 
@@ -98,7 +103,8 @@ def build_choi(unitary: ComplexMatrix, full_reference: bool = False) -> ChoiStat
     q1 keeps a reference and the remaining inputs enter maximally mixed
     (register ``r1 q1..qN``, dimension 2^(N+1)).  The reduced form is the
     full form with r2..rN traced out: its ``r1`` blocks are
-    ``U_a U_b^dag / 2^N`` with ``U_a`` the columns of U whose q1 bit is a.
+    ``U_a U_b^dag / 2^N`` with ``U_a`` the columns of U whose q1 bit is a,
+    that is ``U[:, :d/2]`` and ``U[:, d/2:]``.
     """
     unitary = np.asarray(unitary, dtype=complex)
     dim = unitary.shape[0]
@@ -111,8 +117,10 @@ def build_choi(unitary: ComplexMatrix, full_reference: bool = False) -> ChoiStat
         psi = unitary.T.ravel() / np.sqrt(dim)
         reg = QubitRegister(reference_labels(n) + sys)
         return ChoiState(DensityMatrix.pure(psi, reg), n, reference_labels(n))
-    g00, g01, g11 = half_blocks(unitary, 1)
-    rho = np.block([[g00, g01], [g01.conj().T, g11]]) / dim
+    u0, u1 = unitary[:, :dim // 2], unitary[:, dim // 2:]
+    g01 = u0 @ u1.conj().T
+    rho = np.block([[u0 @ u0.conj().T, g01],
+                    [g01.conj().T, u1 @ u1.conj().T]]) / dim
     reg = QubitRegister(("r1",) + sys)
     return ChoiState(DensityMatrix(rho, reg), n, ("r1",))
 
@@ -217,43 +225,29 @@ def build_pdm(unitary: ComplexMatrix, method: str = "choi") -> PseudoDensityMatr
     raise ValueError(f"unknown method {method!r}")
 
 
-def assemblage_from_pdm(pdm: PseudoDensityMatrix, effects, measured_qubit: int = 1):
+def assemblage_from_pdm(pdm: PseudoDensityMatrix, effects):
     """Temporal assemblage from the PDM Born rule.
 
-    sigma_{a|x} = tr_in[(E_{a|x} x 1_out) R] with the effect embedded on
-    the measured input qubit.  ``effects`` is a sequence over settings of
-    sequences over outcomes of single-qubit effect matrices.  Returns a
-    steering Assemblage on the full output register.
+    sigma_{a|x} = tr_in[(E_{a|x} x 1_out) R] with the effect on input
+    qubit i1.  ``effects`` is a sequence over settings of sequences over
+    outcomes of single-qubit effect matrices.  Returns a steering
+    Assemblage on the full output register.
     """
     from .steering import Assemblage  # circular at module level by design
 
     n = pdm.n_qubits
-    reg = pdm.register
-    in_labels = tuple(f"i{k}" for k in range(1, n + 1))
     out_labels = tuple(f"o{k}" for k in range(1, n + 1))
-    if not 1 <= measured_qubit <= n:
-        raise ValueError("measured qubit outside the register")
-    dim = 1 << n
+    rest = np.eye(2 ** (2 * n - 1))
     members: List[List[ComplexMatrix]] = []
     for setting in effects:
         row = []
         for effect in setting:
-            emb = _embed_single_qubit(np.asarray(effect, dtype=complex),
-                                      measured_qubit, n)
-            op = kron(emb, np.eye(dim))
-            prod = DensityMatrix(op @ pdm.matrix, reg)
+            op = kron(np.asarray(effect, dtype=complex), rest)
+            prod = DensityMatrix(op @ pdm.matrix, pdm.register)
             # trace over the input block, keep outputs in order
-            red = partial_trace(prod, out_labels)
-            row.append(red.matrix)
+            row.append(partial_trace(prod, out_labels).matrix)
         members.append(row)
-    labels = tuple(f"q{k}" for k in range(1, n + 1))
-    return Assemblage(members=members, labels=labels)
-
-
-def _embed_single_qubit(op: ComplexMatrix, qubit: int, n: int) -> ComplexMatrix:
-    factors = [np.eye(2, dtype=complex)] * n
-    factors[qubit - 1] = op
-    return kron(*factors)
+    return Assemblage(members=members, labels=system_labels(n))
 
 
 @dataclass

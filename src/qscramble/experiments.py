@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -62,6 +62,11 @@ class ExperimentConfig:
             raise ValueError("t_start must be nonnegative")
         if self.t_max and self.t_max <= self.t_start:
             raise ValueError("t_max must exceed t_start")
+        if not (math.isfinite(self.sdp_gap_tol) and self.sdp_gap_tol > 0):
+            raise ValueError("sdp_gap_tol must be a positive finite number, "
+                             f"got {self.sdp_gap_tol}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         coupling = {"ising": ("g", self.g),
                     "syk": ("j_coupling", self.j_coupling)}.get(self.model)
         if not self.t_max and coupling and coupling[1] == 0:
@@ -91,7 +96,7 @@ class ExperimentConfig:
         if self.t_max:
             return self.t_max
         if self.model == "syk":
-            return SYK_T_MAX / self.j_coupling
+            return SYK_T_MAX / abs(self.j_coupling)
         if self.model == "clifford":
             return float(np.pi)
         return SPIN_T_MAX / abs(self.g)
@@ -157,7 +162,7 @@ class ScramblingReport:
             if header is None:
                 raise ValueError(f"{path}: empty file, expected a CSV header")
             if header != CSV_HEADER:
-                raise ValueError(f"unexpected CSV header {header}")
+                raise ValueError(f"{path}: unexpected CSV header {header}")
             for rec in records:
                 where = f"{path}:{reader.line_num}"
                 if len(rec) != len(CSV_HEADER):
@@ -220,9 +225,10 @@ def save_unitary_file(path: str, unitary: np.ndarray) -> None:
 
 def _witness_row(t: float, unitary: np.ndarray, partition: PartitionSpec,
                  ms: MeasurementSet, gap_tol: float) -> ScanRow:
-    tmi = tripartite_mutual_information(build_choi(unitary), partition)
+    choi = build_choi(unitary)
+    tmi = tripartite_mutual_information(choi, partition)
     try:
-        rec = minus_t3(unitary, partition.region_c, partition.region_d,
+        rec = minus_t3(choi, partition.region_c, partition.region_d,
                        measurements=ms, gap_tol=gap_tol)
     except Exception as exc:
         nan = float("nan")
@@ -278,8 +284,7 @@ def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
     partition = PartitionSpec.leading(config.n, config.resolved_n_c())
     ms = MeasurementSet.pauli(config.measurements)
 
-    jobs = max(1, config.jobs)
-    if jobs == 1:
+    if config.jobs == 1:
         rows = []
         for i, t in enumerate(times):
             rows.append(_witness_row(float(t), prop.unitary(float(t)),
@@ -288,10 +293,10 @@ def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
                 progress(i + 1, len(times))
         return ScramblingReport(config, rows)
 
-    chunks = np.array_split(times, jobs)
+    chunks = np.array_split(times, config.jobs)
     rows = []
     with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_scan_worker_init,
+            max_workers=config.jobs, initializer=_scan_worker_init,
             initargs=(config, prop.evals, prop.evecs)) as pool:
         for part in pool.map(_scan_worker_chunk,
                              [list(map(float, c)) for c in chunks]):

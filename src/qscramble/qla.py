@@ -162,22 +162,6 @@ def kron(*ops: ComplexMatrix) -> ComplexMatrix:
     return out
 
 
-def half_blocks(unitary: ComplexMatrix, qubit: int):
-    """The three products ``U_a U_b^dag`` split on one input qubit.
-
-    ``U_a`` is the ``(d, d/2)`` block of the columns of ``unitary`` whose
-    bit on ``qubit`` (1-based, most significant first) equals ``a``, so
-    ``U (|a><b| x 1) U^dag = U_a U_b^dag``.  Returns ``(G00, G01, G11)``;
-    ``G10`` is ``G01^dag``.
-    """
-    dim = unitary.shape[0]
-    n = dim.bit_length() - 1
-    cols = unitary.reshape(dim, 2 ** (qubit - 1), 2, 2 ** (n - qubit))
-    u0 = cols[:, :, 0, :].reshape(dim, dim // 2)
-    u1 = cols[:, :, 1, :].reshape(dim, dim // 2)
-    return u0 @ u0.conj().T, u0 @ u1.conj().T, u1 @ u1.conj().T
-
-
 def _as_tensor(mat: ComplexMatrix, n: int) -> np.ndarray:
     """View a (2^n, 2^n) matrix as a rank-2n tensor, bra axes first."""
     return mat.reshape((2,) * (2 * n))

@@ -7,6 +7,12 @@ assemblage
 
     sigma_{a|x}(t) = tr_rest[ U (E_{a|x} x 1) U^dag ] / 2^N .
 
+That assemblage is the Born rule on the unitary's Choi state: with r1
+the reference of q1, the r1 blocks of the marginal rho_{r1 R} are
+tr_rest(U_a U_b^dag) / 2^N, and sigma_{a|x} = sum_ab E_{a|x}[a, b] rho_ab
+(the Choi state and the pseudo-density matrix are one object).  So both
+witnesses of a grid point are read off one :class:`channels.ChoiState`.
+
 The steerable weight TSW of that assemblage measures how much of the
 measurement information remains recoverable from the region.  The
 scrambling witness combines three regions:
@@ -26,8 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qla import (ComplexMatrix, DensityMatrix, QubitRegister, half_blocks,
-                  partial_trace)
+from .qla import ComplexMatrix, partial_trace
+from .channels import ChoiState, system_labels
 from .models import haar_random_unitary, pauli_matrix
 from .sdp import bound_steering_weight, solve_steering_weight
 from .sdp.ipm import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL, NumericalFailure
@@ -112,44 +118,26 @@ class Assemblage:
         return worst
 
 
-def encode_and_evolve(unitary: ComplexMatrix, measurements: MeasurementSet,
-                      measured_qubit: int = 1) -> Assemblage:
-    """Assemblage of the full register after measure-then-evolve.
+def temporal_assemblage(choi: ChoiState, measurements: MeasurementSet,
+                        region: Optional[Sequence[str]] = None) -> Assemblage:
+    """Temporal assemblage on ``region``, read off the Choi state.
 
-    The register starts maximally mixed; effect E on the measured qubit
-    leaves the subnormalized state (E x 1) / 2^N, which then evolves
-    unitarily.  Traces p(a|x) = tr(E)/2 are preserved.  Every member is
-    sum_ab E[a, b] U_a U_b^dag / 2^N over the three half-block products
-    of U split on the measured qubit (see :func:`qla.half_blocks`).
+    The Choi marginal rho_{r1 R} has r1 blocks rho_ab = tr_rest(U_a U_b^dag)
+    / 2^N, and the register that q1's effect E leaves behind evolves to
+    sum_ab E[a, b] U_a U_b^dag / 2^N.  The partial trace is linear, so the
+    Born rule on the marginal gives every member on R:
+
+        sigma_{a|x} = sum_ab E_{a|x}[a, b] rho_ab .
+
+    ``region=None`` keeps every system qubit.
     """
-    unitary = np.asarray(unitary, dtype=complex)
-    dim = unitary.shape[0]
-    n = dim.bit_length() - 1
-    if 2 ** n != dim:
-        raise ValueError("unitary dimension is not a power of two")
-    if not 1 <= measured_qubit <= n:
-        raise ValueError(f"measured qubit {measured_qubit} outside 1..{n}")
-    g00, g01, g11 = (g / dim for g in half_blocks(unitary, measured_qubit))
-    g10 = g01.conj().T
-    members = []
-    for row in measurements.effects:
-        out_row = []
-        for effect in row:
-            e = np.asarray(effect, dtype=complex)
-            out_row.append(e[0, 0] * g00 + e[0, 1] * g01
-                           + e[1, 0] * g10 + e[1, 1] * g11)
-        members.append(out_row)
-    return Assemblage(members, tuple(f"q{i}" for i in range(1, n + 1)))
-
-
-def reduce_assemblage(assemblage: Assemblage, region: Sequence[str]) -> Assemblage:
-    """Restrict every member to ``region`` by partial trace."""
-    region = tuple(region)
-    reg = QubitRegister(assemblage.labels)
-    members = []
-    for row in assemblage.members:
-        members.append([
-            partial_trace(DensityMatrix(m, reg), region).matrix for m in row])
+    region = (system_labels(choi.n_qubits) if region is None
+              else tuple(region))
+    rho = partial_trace(choi.state, ("r1",) + region).matrix
+    dim = rho.shape[0] // 2
+    blocks = rho.reshape(2, dim, 2, dim)
+    members = [[np.einsum("ab,aibj->ij", np.asarray(e, dtype=complex), blocks)
+                for e in row] for row in measurements.effects]
     return Assemblage(members, region)
 
 
@@ -217,29 +205,29 @@ class WitnessRecord:
         return f"C:{self.status_c}/D:{self.status_d}"
 
 
-def minus_t3(unitary: ComplexMatrix, region_c: Sequence[str],
+def minus_t3(choi: ChoiState, region_c: Sequence[str],
              region_d: Sequence[str],
              measurements: Optional[MeasurementSet] = None,
              gap_tol: float = DEFAULT_GAP_TOL) -> WitnessRecord:
-    """Temporal-steering scrambling witness of a unitary.
+    """Temporal-steering scrambling witness of a unitary's Choi state.
 
     -T3 = TSW[total] - TSW[C] - TSW[D] for the measure-then-evolve
-    protocol on the maximally mixed register.  Every region goes to
+    protocol on the maximally mixed register, each region's assemblage
+    read off ``choi`` by :func:`temporal_assemblage`.  Every region goes to
     :func:`solve_steering_weight`, whose exact-zero exit certifies
     TSW = 0 at any member dimension when a local model of mass 1 turns
     up.  A region that fails that test goes on to the interior-point
     SDP.  Full-rank regions above ``EXACT_DIM`` are past the solver's
     Schur-memory cap, which refuses them, and
     :func:`bound_steering_weight` certifies an upper bound for them
-    instead (status "bounded").  Every weight depends on this unitary
+    instead (status "bounded").  Every weight depends on this Choi state
     alone, never on earlier calls.
     """
     ms = measurements or MeasurementSet.pauli()
-    total = encode_and_evolve(unitary, ms)
     tsw_tot = total_steerable_weight(ms, gap_tol=gap_tol)
     parts = {}
-    for name, region in (("C", tuple(region_c)), ("D", tuple(region_d))):
-        asm = reduce_assemblage(total, region)
+    for name, region in (("C", region_c), ("D", region_d)):
+        asm = temporal_assemblage(choi, ms, region)
         try:
             try:
                 sol = solve_steering_weight(asm.members, gap_tol=gap_tol)

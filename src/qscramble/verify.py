@@ -27,7 +27,7 @@ from .models import (PauliString, pauli_matrix, build_ising, build_syk,
                      random_local_unitary)
 from .channels import (PartitionSpec, build_choi, build_pdm,
                        tripartite_mutual_information, assemblage_from_pdm)
-from .steering import (MeasurementSet, encode_and_evolve, reduce_assemblage,
+from .steering import (MeasurementSet, temporal_assemblage,
                        temporal_steerable_weight, total_steerable_weight,
                        minus_t3, tsw_unitary_invariance_check)
 from .sdp import (first_order_steering_weight, solve_steering_weight,
@@ -318,7 +318,7 @@ def check_pdm_routes(quick: bool) -> str:
     _ok(np.linalg.norm(a - b) < 1e-10, "PDM construction routes disagree")
     ms = MeasurementSet.pauli()
     via_pdm = assemblage_from_pdm(build_pdm(u), ms.effects)
-    direct = encode_and_evolve(u, ms)
+    direct = temporal_assemblage(build_choi(u), ms)
     worst = max(np.linalg.norm(x - y) for rx, ry in
                 zip(via_pdm.members, direct.members)
                 for x, y in zip(rx, ry))
@@ -330,25 +330,26 @@ def check_pdm_routes(quick: bool) -> str:
 
 def check_assemblage_sanity(quick: bool) -> str:
     rng = _rng(21)
-    asm = encode_and_evolve(haar_random_unitary(8, rng),
-                            MeasurementSet.pauli())
+    ms = MeasurementSet.pauli()
+    choi = build_choi(haar_random_unitary(8, rng))
+    asm = temporal_assemblage(choi, ms)
     _ok(asm.no_signaling_defect() < 1e-12, "no-signaling defect")
     _ok(np.allclose(asm.marginal(), np.eye(8) / 8, atol=1e-12),
         "marginal not maximally mixed")
     _ok(np.allclose(asm.probabilities(), 0.5, atol=1e-12),
         "outcome probabilities != 1/2")
-    red = reduce_assemblage(asm, ("q2", "q3"))
+    red = temporal_assemblage(choi, ms, ("q2", "q3"))
     _ok(red.no_signaling_defect() < 1e-12, "reduction breaks no-signaling")
     return "marginals, probabilities, reductions"
 
 
 def check_tsw_anchors(quick: bool) -> str:
     ms = MeasurementSet.pauli()
-    asm = encode_and_evolve(np.eye(8), ms)
-    w_q1 = temporal_steerable_weight(reduce_assemblage(asm, ("q1",)))
+    choi = build_choi(np.eye(8))
+    w_q1 = temporal_steerable_weight(temporal_assemblage(choi, ms, ("q1",)))
     _ok(w_q1 == 1.0, f"projective TSW {w_q1} != 1 exactly")
     w_rest, sol = temporal_steerable_weight(
-        reduce_assemblage(asm, ("q2", "q3")), full_output=True)
+        temporal_assemblage(choi, ms, ("q2", "q3")), full_output=True)
     _ok(w_rest <= 1e-12 and sol.iterations == 0,
         f"untouched region TSW {w_rest} after {sol.iterations} iterations")
     _ok(total_steerable_weight(ms) == 1.0, "TSW total != 1 exactly")
@@ -358,9 +359,10 @@ def check_tsw_anchors(quick: bool) -> str:
 def check_witness_gates(quick: bool) -> str:
     rng = _rng(22)
     local = random_local_unitary(PartitionSpec.leading(3, 1), rng)
-    rec = minus_t3(local, ("q1",), ("q2", "q3"))
+    rec = minus_t3(build_choi(local), ("q1",), ("q2", "q3"))
     _ok(abs(rec.minus_t3) < WITNESS_TOL, f"local -T3 = {rec.minus_t3}")
-    rec_s = minus_t3(clifford_scrambler_unitary(), ("q1",), ("q2", "q3"))
+    rec_s = minus_t3(build_choi(clifford_scrambler_unitary()), ("q1",),
+                     ("q2", "q3"))
     _ok(abs(rec_s.minus_t3 - 1.0) < WITNESS_TOL,
         f"scrambler -T3 = {rec_s.minus_t3}")
     _ok(rec.status == "ok" and rec_s.status == "ok", "solver status")
@@ -369,9 +371,8 @@ def check_witness_gates(quick: bool) -> str:
 
 def check_tsw_invariance(quick: bool) -> str:
     rng = _rng(23)
-    asm = reduce_assemblage(
-        encode_and_evolve(haar_random_unitary(4, rng), MeasurementSet.pauli()),
-        ("q1",))
+    asm = temporal_assemblage(build_choi(haar_random_unitary(4, rng)),
+                              MeasurementSet.pauli(), ("q1",))
     seeds = (0,) if quick else (0, 1)
     defect = tsw_unitary_invariance_check(asm, seeds=seeds)
     _ok(defect < WITNESS_TOL, f"unitary invariance defect {defect}")
@@ -387,7 +388,7 @@ def check_tsw_invariance(quick: bool) -> str:
 
 def check_mixing_convexity(quick: bool) -> str:
     ms = MeasurementSet.pauli()
-    asm = reduce_assemblage(encode_and_evolve(np.eye(2), ms), ("q1",))
+    asm = temporal_assemblage(build_choi(np.eye(2)), ms)
     base = temporal_steerable_weight(asm)
     prev = base + 1e-9
     for eta in (0.8, 0.5, 0.2):
@@ -403,14 +404,14 @@ def check_mixing_convexity(quick: bool) -> str:
 def check_dual_certificates(quick: bool) -> str:
     ms = MeasurementSet.pauli()
     eta = 0.75
-    asm = reduce_assemblage(encode_and_evolve(np.eye(2), ms), ("q1",))
+    asm = temporal_assemblage(build_choi(np.eye(2)), ms)
     mixed = [[eta * m + (1 - eta) * np.trace(m) * np.eye(2) / 2
               for m in row] for row in asm.members]
     _, sol = temporal_steerable_weight(steering.Assemblage(mixed, ("q1",)),
                                        full_output=True)
     _ok(verify_certificate(mixed, sol), "noisy qubit certificate")
-    asm_c = reduce_assemblage(
-        encode_and_evolve(clifford_scrambler_unitary(), ms), ("q2", "q3"))
+    asm_c = temporal_assemblage(build_choi(clifford_scrambler_unitary()), ms,
+                                ("q2", "q3"))
     _, sol_c = temporal_steerable_weight(asm_c, full_output=True)
     _ok(verify_certificate(asm_c.members, sol_c), "scrambler-region certificate")
     return "independent dual recheck on two instances"
@@ -418,9 +419,8 @@ def check_dual_certificates(quick: bool) -> str:
 
 def check_exact_zero_exit(quick: bool) -> str:
     prop = Propagator(build_ising(5, 1.0, 0.5).matrix())
-    asm = reduce_assemblage(
-        encode_and_evolve(prop.unitary(20.0), MeasurementSet.pauli()),
-        ("q3", "q4", "q5"))
+    asm = temporal_assemblage(build_choi(prop.unitary(20.0)),
+                              MeasurementSet.pauli(), ("q3", "q4", "q5"))
     weight, sol = temporal_steerable_weight(asm, full_output=True)
     _ok(sol.status == "Optimal" and sol.iterations == 0,
         f"{sol.status} after {sol.iterations} iterations, not the exit")
@@ -443,7 +443,7 @@ def check_exact_zero_exit(quick: bool) -> str:
 def check_first_order_agreement(quick: bool) -> str:
     ms = MeasurementSet.pauli()
     eta = 0.8
-    asm = reduce_assemblage(encode_and_evolve(np.eye(2), ms), ("q1",))
+    asm = temporal_assemblage(build_choi(np.eye(2)), ms)
     mixed = [[eta * m + (1 - eta) * np.trace(m) * np.eye(2) / 2
               for m in row] for row in asm.members]
     w_ipm = temporal_steerable_weight(steering.Assemblage(mixed, ("q1",)))
@@ -466,9 +466,8 @@ def check_strategies(quick: bool) -> str:
 
 def check_determinism(quick: bool) -> str:
     rng = _rng(24)
-    asm = reduce_assemblage(
-        encode_and_evolve(haar_random_unitary(8, rng), MeasurementSet.pauli()),
-        ("q1", "q2"))
+    asm = temporal_assemblage(build_choi(haar_random_unitary(8, rng)),
+                              MeasurementSet.pauli(), ("q1", "q2"))
     w1 = temporal_steerable_weight(asm)
     w2 = temporal_steerable_weight(asm)
     _ok(w1 == w2, f"repeat solve drifted: {w1} vs {w2}")
@@ -483,10 +482,9 @@ def scaling_check(dim: int = SCALING_DIM,
     """
     n = dim.bit_length()           # dim = 2^(n-1) region of an n-qubit system
     rng = _rng(25)
-    asm = encode_and_evolve(haar_random_unitary(2 ** n, rng),
-                            MeasurementSet.pauli())
     region = tuple(f"q{i}" for i in range(1, n))
-    reduced = reduce_assemblage(asm, region)
+    reduced = temporal_assemblage(build_choi(haar_random_unitary(2 ** n, rng)),
+                                  MeasurementSet.pauli(), region)
     start = time.perf_counter()
     weight, sol = temporal_steerable_weight(reduced, full_output=True)
     elapsed = time.perf_counter() - start

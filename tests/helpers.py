@@ -101,26 +101,16 @@ def choi_sandwich(unitary):
     return big_u @ rho0 @ big_u.conj().T
 
 
-def evolve_sandwich(unitary, effects, measured_qubit):
-    """Members U (E x 1) U^dag / 2^N with E on ``measured_qubit``.
+def evolve_sandwich(unitary, effects):
+    """Members U (E x 1) U^dag / 2^N with E on q1, on the full register.
 
-    Dense reference for ``encode_and_evolve``; ``effects`` is indexed
+    Dense reference for ``temporal_assemblage``; ``effects`` is indexed
     [setting][outcome].
     """
     dim = unitary.shape[0]
-    n = dim.bit_length() - 1
-    members = []
-    for row in effects:
-        out_row = []
-        for effect in row:
-            factors = [I2] * n
-            factors[measured_qubit - 1] = np.asarray(effect, dtype=complex)
-            state = factors[0]
-            for f in factors[1:]:
-                state = np.kron(state, f)
-            out_row.append(unitary @ (state / dim) @ unitary.conj().T)
-        members.append(out_row)
-    return members
+    rest = np.eye(dim // 2) / dim
+    return [[unitary @ np.kron(effect, rest) @ unitary.conj().T
+             for effect in row] for row in effects]
 
 
 def mixed_rank_assemblage(eta=0.2):

@@ -15,7 +15,7 @@ import pytest
 import conftest
 from helpers import bloch_assemblage, random_steerable_state, tmi_report
 from qscramble import cli
-from qscramble.channels import (PartitionSpec, build_pdm,
+from qscramble.channels import (PartitionSpec, build_choi, build_pdm,
                                 haar_scrambled_baseline)
 from qscramble.experiments import (ExperimentConfig, ScramblingReport,
                                    backflow_integral, run_clifford_scan,
@@ -24,7 +24,7 @@ from qscramble.models import (clifford_scrambler_unitary, haar_random_unitary,
                               pauli_matrix, random_local_unitary,
                               swap_network)
 from qscramble.sdp import first_order_steering_weight, solve_steering_weight
-from qscramble.steering import (MeasurementSet, encode_and_evolve, minus_t3,
+from qscramble.steering import (MeasurementSet, minus_t3, temporal_assemblage,
                                 temporal_steerable_weight,
                                 total_steerable_weight)
 
@@ -66,7 +66,7 @@ def test_criterion_01_product_unitaries():
     worst = 0.0
     for _ in range(50):
         u = random_local_unitary(part, rng)
-        rec = minus_t3(u, part.region_c, part.region_d)
+        rec = minus_t3(build_choi(u), part.region_c, part.region_d)
         worst = max(worst, abs(rec.minus_t3))
     elapsed = time.perf_counter() - t0
     assert worst <= 2e-6
@@ -92,7 +92,7 @@ def test_criterion_02_swap_networks():
                         pairs.append((a, b))
                 if pairs:
                     u = swap_network(n, pairs) @ u
-            rec = minus_t3(u, part.region_c, part.region_d)
+            rec = minus_t3(build_choi(u), part.region_c, part.region_d)
             worst = max(worst, abs(rec.minus_t3))
     assert worst <= 2e-6
     return f"20 networks, max |-T3| = {worst:.2e}"
@@ -117,7 +117,8 @@ def test_criterion_04_unit_weight_at_t0():
     ms = MeasurementSet.pauli("xyz")
     total = total_steerable_weight(ms)
     assert total == pytest.approx(1.0, abs=1e-6)
-    direct = temporal_steerable_weight(encode_and_evolve(np.eye(4), ms))
+    direct = temporal_steerable_weight(
+        temporal_assemblage(build_choi(np.eye(4)), ms))
     assert direct == pytest.approx(1.0, abs=1e-6)
     return f"shortcut {total:.9f}, full-register solve {direct:.9f}"
 

@@ -108,6 +108,12 @@ def test_backflow_rejects_malformed_csv(tmp_path, capsys):
     assert cli.main(["backflow", "--in", str(blanks)]) == 2
     assert f"error: {blanks}: empty file" in capsys.readouterr().err
 
+    header = tmp_path / "header.csv"
+    header.write_text("\n".join(["t,minusI3"] + lines[1:]) + "\n")
+    assert cli.main(["backflow", "--in", str(header)]) == 2
+    assert (f"error: {header}: unexpected CSV header ['t', 'minusI3']"
+            in capsys.readouterr().err)
+
 
 def test_python_dash_m_runs_the_command():
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -169,6 +175,24 @@ def test_zero_coupling_without_horizon_is_a_clean_error(capsys):
     rc = cli.main(["scan", "--model", "ising", "--g", "0", "--points", "2"])
     assert rc == 2
     assert "with g = 0 has no default horizon" in capsys.readouterr().err
+
+
+def test_unusable_tolerance_or_job_count_is_a_clean_error(capsys):
+    base = ["scan", "--model", "ising", "--n", "3", "--points", "3",
+            "--tmax", "40"]
+    rc = cli.main(base + ["--sdp-tol", "-1"])
+    assert rc == 2
+    assert ("error: sdp_gap_tol must be a positive finite number, got -1.0"
+            in capsys.readouterr().err)
+    for jobs in ("0", "-2"):
+        rc = cli.main(base + ["--jobs", jobs])
+        assert rc == 2
+        assert (f"error: jobs must be at least 1, got {jobs}"
+                in capsys.readouterr().err)
+    rc = cli.main(["sweep", "--family", "chaotic", "--sizes", "3",
+                   "--points", "2", "--jobs", "0"])
+    assert rc == 2
+    assert "error: jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_nonzero():

@@ -33,6 +33,12 @@ def test_config_validation():
             ExperimentConfig(model=model, **{coupling: 0.0})
         assert ExperimentConfig(model=model, t_max=3.0,
                                 **{coupling: 0.0}).resolved_t_max() == 3.0
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sdp_gap_tol must be a positive"):
+            ExperimentConfig(sdp_gap_tol=tol)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            ExperimentConfig(jobs=jobs)
 
 
 def test_config_partition_defaults():
@@ -50,6 +56,11 @@ def test_config_horizon_defaults():
     assert ExperimentConfig(model="clifford").resolved_t_max() == \
         pytest.approx(math.pi)
     assert ExperimentConfig(model="ising", t_max=7.5).resolved_t_max() == 7.5
+    # the horizon scales with the coupling's magnitude, not its sign
+    for model, coupling, t_max in (("syk", "j_coupling", 74.0),
+                                   ("ising", "g", 20.0)):
+        assert ExperimentConfig(model=model,
+                                **{coupling: -2.0}).resolved_t_max() == t_max
 
 
 def test_config_from_json(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (PX, PY, PZ, bloch_assemblage, isotropic_assemblage,
                      max_step, mixed_rank_assemblage, random_steerable_state)
+from qscramble.channels import build_choi
 from qscramble.models import build_ising
 from qscramble.qla import Propagator
 from qscramble.sdp import (NumericalFailure, SteeringWeightProblem,
@@ -13,8 +14,7 @@ from qscramble.sdp import (NumericalFailure, SteeringWeightProblem,
 from qscramble.sdp import _kernels, ipm
 from qscramble.sdp import problem as sdp_problem
 from qscramble.sdp.strategies import enumerate_strategies
-from qscramble.steering import (MeasurementSet, encode_and_evolve,
-                                reduce_assemblage)
+from qscramble.steering import MeasurementSet, temporal_assemblage
 
 # steering a Bell pair through white noise of visibility eta and measuring
 # along m mutually unbiased axes has weight (sqrt(m) eta - 1)/(sqrt(m) - 1)
@@ -264,8 +264,8 @@ def test_backtracking_exhaustion_keeps_last_accepted_iterate(monkeypatch):
 
 def _ising_region(n, t, region):
     prop = Propagator(build_ising(n, 1.0, 0.5).matrix())
-    asm = encode_and_evolve(prop.unitary(t), MeasurementSet.pauli())
-    return reduce_assemblage(asm, region).members
+    return temporal_assemblage(build_choi(prop.unitary(t)),
+                               MeasurementSet.pauli(), region).members
 
 
 def _equality_residual(members, hidden):

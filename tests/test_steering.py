@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from helpers import PX, PZ, evolve_sandwich, isotropic_assemblage
-from qscramble.channels import PartitionSpec
+from qscramble.channels import PartitionSpec, build_choi, system_labels
 from qscramble.models import (build_ising, clifford_scrambler_unitary,
                               haar_random_unitary, random_local_unitary)
-from qscramble.qla import Propagator
+from qscramble.qla import DensityMatrix, Propagator, partial_trace
 from qscramble import steering
 from qscramble.sdp import NumericalFailure, bound_steering_weight
 from qscramble.sdp import problem as sdp_problem
 from qscramble.sdp.strategies import enumerate_strategies
-from qscramble.steering import (Assemblage, MeasurementSet,
-                                encode_and_evolve, minus_t3,
-                                reduce_assemblage, temporal_steerable_weight,
+from qscramble.steering import (Assemblage, MeasurementSet, minus_t3,
+                                temporal_assemblage, temporal_steerable_weight,
                                 total_steerable_weight,
                                 tsw_unitary_invariance_check)
 
@@ -32,7 +31,7 @@ def test_pauli_measurement_set():
 
 def test_encode_and_evolve_shape_and_no_signaling(rng):
     ms = MeasurementSet.pauli()
-    asm = encode_and_evolve(haar_random_unitary(8, rng), ms)
+    asm = temporal_assemblage(build_choi(haar_random_unitary(8, rng)), ms)
     assert asm.labels == ("q1", "q2", "q3")
     assert asm.n_settings == 3 and asm.n_outcomes == 2
     assert asm.dim == 8
@@ -42,13 +41,6 @@ def test_encode_and_evolve_shape_and_no_signaling(rng):
     # measure-then-evolve on the maximally mixed register: the marginal
     # stays maximally mixed
     np.testing.assert_allclose(asm.marginal(), np.eye(8) / 8, atol=1e-12)
-
-
-def test_encode_other_qubit(rng):
-    ms = MeasurementSet.pauli()
-    asm = encode_and_evolve(haar_random_unitary(4, rng), ms, measured_qubit=2)
-    assert asm.no_signaling_defect() < 1e-12
-    np.testing.assert_allclose(asm.marginal(), np.eye(4) / 4, atol=1e-12)
 
 
 def _trine_and_biased_povm():
@@ -61,40 +53,55 @@ def _trine_and_biased_povm():
     return MeasurementSet("trine-biased", [trine, [m, np.eye(2) - m]])
 
 
-@pytest.mark.parametrize("measurements", [MeasurementSet.pauli(),
-                                          _trine_and_biased_povm()],
-                         ids=["pauli", "povm"])
-@pytest.mark.parametrize("measured_qubit", [1, 2, 3])
-def test_encode_and_evolve_matches_dense_sandwich(rng, measurements,
-                                                  measured_qubit):
-    u = haar_random_unitary(8, rng)
-    asm = encode_and_evolve(u, measurements, measured_qubit=measured_qubit)
-    ref = evolve_sandwich(u, measurements.effects, measured_qubit)
-    assert [len(row) for row in asm.members] == [len(row) for row in ref]
-    for got_row, ref_row in zip(asm.members, ref):
-        for got, want in zip(got_row, ref_row):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+@pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"n={n}")
+def test_temporal_assemblage_matches_traced_sandwich(rng, n):
+    # every region C = q1..qk, its complement D and the full register,
+    # read off the Choi marginal, against the partial trace of the dense
+    # measure-then-evolve members
+    u = haar_random_unitary(2 ** n, rng)
+    choi = build_choi(u)
+    labels = system_labels(n)
+    regions = ([labels[:k] for k in range(1, n)]
+               + [labels[k:] for k in range(1, n)] + [labels])
+    for ms in (MeasurementSet.pauli(), _trine_and_biased_povm()):
+        ref = evolve_sandwich(u, ms.effects)
+        for region in regions:
+            asm = temporal_assemblage(choi, ms, region)
+            assert asm.labels == region
+            assert ([len(row) for row in asm.members]
+                    == [len(row) for row in ref])
+            for got_row, ref_row in zip(asm.members, ref):
+                for got, want in zip(got_row, ref_row):
+                    want = partial_trace(DensityMatrix(want, labels),
+                                         region).matrix
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_reduce_assemblage(rng):
     ms = MeasurementSet.pauli()
-    asm = encode_and_evolve(haar_random_unitary(8, rng), ms)
-    red = reduce_assemblage(asm, ("q2", "q3"))
+    u = haar_random_unitary(8, rng)
+    choi = build_choi(u)
+    asm = temporal_assemblage(choi, ms)
+    red = temporal_assemblage(choi, ms, ("q2", "q3"))
     assert red.labels == ("q2", "q3")
     assert red.dim == 4
     assert red.no_signaling_defect() < 1e-12
     # probabilities are preserved by the partial trace
     np.testing.assert_allclose(red.probabilities(), asm.probabilities(),
                                atol=1e-12)
-    full = reduce_assemblage(asm, ("q1", "q2", "q3"))
-    for row_a, row_b in zip(full.members, asm.members):
-        for a, b in zip(row_a, row_b):
-            np.testing.assert_allclose(a, b, atol=1e-13)
+    full = temporal_assemblage(choi, ms, ("q1", "q2", "q3"))
+    # the full-reference Choi state carries the same assemblage
+    wide = temporal_assemblage(build_choi(u, full_reference=True), ms,
+                               ("q2", "q3"))
+    for rows in (zip(full.members, asm.members), zip(wide.members, red.members)):
+        for row_a, row_b in rows:
+            for a, b in zip(row_a, row_b):
+                np.testing.assert_allclose(a, b, atol=1e-13)
 
 
 def test_identity_channel_is_maximally_steerable():
-    asm = encode_and_evolve(np.eye(8), MeasurementSet.pauli())
-    red = reduce_assemblage(asm, ("q1",))
+    red = temporal_assemblage(build_choi(np.eye(8)), MeasurementSet.pauli(),
+                              ("q1",))
     assert temporal_steerable_weight(red) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -107,9 +114,9 @@ def test_classical_assemblage_is_unsteerable():
 
 
 def test_full_output_returns_solution():
-    asm = encode_and_evolve(np.eye(4), MeasurementSet.pauli())
-    w, sol = temporal_steerable_weight(reduce_assemblage(asm, ("q1",)),
-                                       full_output=True)
+    red = temporal_assemblage(build_choi(np.eye(4)), MeasurementSet.pauli(),
+                              ("q1",))
+    w, sol = temporal_steerable_weight(red, full_output=True)
     assert w == sol.steerable_weight
     assert sol.status == "Optimal"
 
@@ -120,30 +127,31 @@ def test_total_weight_matches_direct_solve(rng):
     assert total == pytest.approx(1.0, abs=1e-9)
     # the shortcut equals the honest full-register solve for a random U
     u = haar_random_unitary(4, rng)
-    direct = temporal_steerable_weight(encode_and_evolve(u, ms))
+    direct = temporal_steerable_weight(temporal_assemblage(build_choi(u), ms))
     assert direct == pytest.approx(total, abs=2e-6)
 
 
 def test_tsw_invariant_under_global_unitary():
-    asm = encode_and_evolve(np.eye(4), MeasurementSet.pauli())
-    red = reduce_assemblage(asm, ("q1",))
+    red = temporal_assemblage(build_choi(np.eye(4)), MeasurementSet.pauli(),
+                              ("q1",))
     assert tsw_unitary_invariance_check(red, seeds=(0, 1)) < 1e-6
 
 
 def test_minus_t3_identity_and_scrambler():
-    rec = minus_t3(np.eye(8), ("q1",), ("q2", "q3"))
+    rec = minus_t3(build_choi(np.eye(8)), ("q1",), ("q2", "q3"))
     assert abs(rec.minus_t3) < 2e-6
     assert rec.tsw_c == pytest.approx(1.0, abs=1e-9)
     assert rec.tsw_d < 2e-6
     assert rec.status == "ok"
-    rec = minus_t3(clifford_scrambler_unitary(), ("q1",), ("q2", "q3"))
+    rec = minus_t3(build_choi(clifford_scrambler_unitary()), ("q1",),
+                   ("q2", "q3"))
     assert rec.minus_t3 == pytest.approx(1.0, abs=2e-6)
     assert rec.tsw_c < 2e-6 and rec.tsw_d < 2e-6
 
 
 def test_minus_t3_identity_decomposition(rng):
     u = haar_random_unitary(8, rng)
-    rec = minus_t3(u, ("q1",), ("q2", "q3"))
+    rec = minus_t3(build_choi(u), ("q1",), ("q2", "q3"))
     assert rec.minus_t3 == pytest.approx(
         rec.tsw_total - rec.tsw_c - rec.tsw_d, abs=1e-15)
     assert 0.0 <= rec.tsw_c <= 1.0 and 0.0 <= rec.tsw_d <= 1.0
@@ -152,7 +160,7 @@ def test_minus_t3_identity_decomposition(rng):
 def test_local_unitary_cannot_scramble(rng):
     part = PartitionSpec.leading(4, 2)
     u = random_local_unitary(part, rng)
-    rec = minus_t3(u, part.region_c, part.region_d)
+    rec = minus_t3(build_choi(u), part.region_c, part.region_d)
     assert abs(rec.minus_t3) < 2e-6
 
 
@@ -162,21 +170,22 @@ def test_bound_small_dims_defer_to_exact(monkeypatch):
 
     monkeypatch.setattr(steering, "bound_steering_weight", refuse)
     prop = Propagator(build_ising(3, 1.0, 0.5).matrix())
-    rec = minus_t3(prop.unitary(0.8), ("q1", "q2"), ("q3",))
+    choi = build_choi(prop.unitary(0.8))
+    rec = minus_t3(choi, ("q1", "q2"), ("q3",))
     assert rec.status == "ok"
-    assert rec == minus_t3(prop.unitary(0.8), ("q1", "q2"), ("q3",))
+    assert rec == minus_t3(choi, ("q1", "q2"), ("q3",))
 
 
 def _ising8_region_d(t):
     prop = Propagator(build_ising(8, 1.0, 0.5).matrix())
-    return prop.unitary(t), tuple(f"q{i}" for i in range(3, 9))
+    return build_choi(prop.unitary(t)), tuple(f"q{i}" for i in range(3, 9))
 
 
 def test_exit_certifies_large_region():
     # region D has dimension 64: the interior point method is out of its
     # envelope there, and the exact-zero exit certifies TSW_D = 0
-    unitary, region_d = _ising8_region_d(2.0)
-    rec = minus_t3(unitary, ("q1", "q2"), region_d)
+    choi, region_d = _ising8_region_d(2.0)
+    rec = minus_t3(choi, ("q1", "q2"), region_d)
     assert rec.status == "ok"
     assert 0.0 <= rec.tsw_d <= 1e-12
     assert rec.minus_t3 == pytest.approx(
@@ -186,9 +195,8 @@ def test_exit_certifies_large_region():
 def test_bound_certifies_large_region():
     # the bound, called directly on the same d=64 region, still pins
     # TSW_D ~ 0 with a local model
-    unitary, region_d = _ising8_region_d(2.0)
-    asm = reduce_assemblage(encode_and_evolve(unitary, MeasurementSet.pauli()),
-                            region_d)
+    choi, region_d = _ising8_region_d(2.0)
+    asm = temporal_assemblage(choi, MeasurementSet.pauli(), region_d)
     sol = bound_steering_weight(asm.members)
     assert sol.status == "Bounded"
     assert 0.0 <= 1.0 - sol.mu_star <= 1e-6
@@ -206,8 +214,8 @@ def test_minus_t3_bounds_large_region_when_exit_fails(monkeypatch):
         return sol
 
     monkeypatch.setattr(steering, "bound_steering_weight", spy)
-    unitary, region_d = _ising8_region_d(2.0)
-    rec = minus_t3(unitary, ("q1", "q2"), region_d)
+    choi, region_d = _ising8_region_d(2.0)
+    rec = minus_t3(choi, ("q1", "q2"), region_d)
     assert rec.status == "bounded" and rec.status_d == "Bounded"
     assert 0.0 <= rec.tsw_d <= 1e-6
     assert len(bounds) == 1
@@ -235,4 +243,4 @@ def test_schur_cap_raises_clean_failure(rng, monkeypatch):
     u = haar_random_unitary(8, rng)
     # region C is certified zero before the cap; region D reaches the IPM
     with pytest.raises(NumericalFailure, match="region D"):
-        minus_t3(u, ("q1",), ("q2", "q3"), measurements=ms)
+        minus_t3(build_choi(u), ("q1",), ("q2", "q3"), measurements=ms)
