@@ -53,6 +53,21 @@ def _trine_and_biased_povm():
     return MeasurementSet("trine-biased", [trine, [m, np.eye(2) - m]])
 
 
+@pytest.mark.parametrize("measurements", [MeasurementSet.pauli(),
+                                          _trine_and_biased_povm()],
+                         ids=["1-pauli", "1-povm"])
+def test_encode_and_evolve_matches_dense_sandwich(rng, measurements):
+    # measure q1 (the "1-" in the ids), then evolve: the full-register
+    # assemblage read off the Choi marginal equals the dense sandwich
+    u = haar_random_unitary(8, rng)
+    asm = temporal_assemblage(build_choi(u), measurements)
+    ref = evolve_sandwich(u, measurements.effects)
+    assert [len(row) for row in asm.members] == [len(row) for row in ref]
+    for got_row, ref_row in zip(asm.members, ref):
+        for got, want in zip(got_row, ref_row):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"n={n}")
 def test_temporal_assemblage_matches_traced_sandwich(rng, n):
     # every region C = q1..qk, its complement D and the full register,
