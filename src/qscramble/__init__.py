@@ -17,8 +17,7 @@ from .channels import (ChoiState, PartitionSpec, PseudoDensityMatrix,
                        build_choi, build_pdm, haar_scrambled_baseline,
                        tripartite_mutual_information)
 from .steering import (Assemblage, MeasurementSet, WitnessRecord, minus_t3,
-                       temporal_assemblage, temporal_steerable_weight,
-                       total_steerable_weight)
+                       temporal_assemblage, total_steerable_weight)
 from .sdp import (first_order_steering_weight, solve_steering_weight,
                   verify_certificate)
 from .experiments import (BackflowResult, ExperimentConfig,
@@ -37,8 +36,7 @@ __all__ = [
     "ChoiState", "PartitionSpec", "PseudoDensityMatrix", "build_choi",
     "build_pdm", "haar_scrambled_baseline", "tripartite_mutual_information",
     "Assemblage", "MeasurementSet", "WitnessRecord",
-    "minus_t3", "temporal_assemblage", "temporal_steerable_weight",
-    "total_steerable_weight",
+    "minus_t3", "temporal_assemblage", "total_steerable_weight",
     "first_order_steering_weight", "solve_steering_weight",
     "verify_certificate",
     "BackflowResult", "ExperimentConfig", "ScramblingReport",

@@ -15,7 +15,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +72,7 @@ class ExperimentConfig:
         if not self.t_max and coupling and coupling[1] == 0:
             raise ValueError(f"model {self.model!r} with {coupling[0]} = 0 "
                              "has no default horizon; set t_max (--tmax)")
+        self.measurement_set = MeasurementSet.pauli(self.measurements)
 
     @classmethod
     def from_json(cls, path: str, **overrides) -> "ExperimentConfig":
@@ -238,68 +239,65 @@ def _witness_row(t: float, unitary: np.ndarray, partition: PartitionSpec,
                    rec.tsw_c, rec.tsw_d, rec.tsw_total, rec.status)
 
 
+def _scan_rows(config: ExperimentConfig, unitary_of: Callable,
+               times: Sequence[float], progress=None) -> List[ScanRow]:
+    partition = PartitionSpec.leading(config.n, config.resolved_n_c())
+    rows = []
+    for t in times:
+        rows.append(_witness_row(t, unitary_of(t), partition,
+                                 config.measurement_set, config.sdp_gap_tol))
+        if progress is not None:
+            progress(len(rows), len(times))
+    return rows
+
+
 _worker_state: Dict = {}
 
 
-def _scan_worker_init(config: ExperimentConfig, evals, evecs):
-    prop = Propagator.__new__(Propagator)
-    prop.evals = evals
-    prop.evecs = evecs
-    prop.dim = evals.shape[0]
-    _worker_state["prop"] = prop
-    _worker_state["config"] = config
+def _scan_worker_init(config: ExperimentConfig, unitary_of: Callable):
+    _worker_state.update(config=config, unitary_of=unitary_of)
 
 
 def _scan_worker_chunk(times: Sequence[float]) -> List[ScanRow]:
-    config: ExperimentConfig = _worker_state["config"]
-    prop: Propagator = _worker_state["prop"]
-    partition = PartitionSpec.leading(config.n, config.resolved_n_c())
-    ms = MeasurementSet.pauli(config.measurements)
-    return [_witness_row(t, prop.unitary(t), partition, ms,
-                         config.sdp_gap_tol) for t in times]
+    return _scan_rows(_worker_state["config"], _worker_state["unitary_of"],
+                      times)
 
 
 def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
     """Evaluate both witnesses over the configured time grid.
 
-    ``progress(done, total)``, if given, is called after each grid point,
-    or after each chunk when ``jobs > 1``.  With ``jobs > 1`` the grid is
-    split into contiguous chunks handled by worker processes, and the
-    rows come back in grid order.  Every row depends on its own time
-    alone, so rows do not depend on the chunking or the grid around them.
+    The grid is time for the Hamiltonian models and theta for the
+    3-qubit Clifford circuit.  ``progress(done, total)``, if given, is
+    called after each grid point, or after each chunk when ``jobs > 1``.
+    With ``jobs > 1`` the grid is split into contiguous chunks handled by
+    at most one worker process per grid point, and the rows come back in
+    grid order.  Every row depends on its own time alone, so rows do not
+    depend on the chunking or the grid around them.
     """
-    if config.model == "clifford":
-        return run_clifford_scan(config)
     if config.model == "unitary-file":
         unitary = load_unitary_file(config.unitary_file)
-        n = unitary.shape[0].bit_length() - 1
-        config = replace(config, n=n)
-        partition = PartitionSpec.leading(n, config.resolved_n_c())
-        ms = MeasurementSet.pauli(config.measurements)
-        row = _witness_row(0.0, unitary, partition, ms, config.sdp_gap_tol)
-        return ScramblingReport(config, [row])
-
-    prop = model_propagator(config)
-    times = np.linspace(config.t_start, config.resolved_t_max(), config.points)
-    partition = PartitionSpec.leading(config.n, config.resolved_n_c())
-    ms = MeasurementSet.pauli(config.measurements)
-
+        config = replace(config, n=unitary.shape[0].bit_length() - 1)
+        return ScramblingReport(config, _scan_rows(config, lambda t: unitary,
+                                                   [0.0], progress))
+    if config.model == "clifford":
+        config = replace(config, n=3)   # the circuit is 3 qubits
+        unitary_of = clifford_scan_unitary
+    else:
+        unitary_of = model_propagator(config).unitary
+    times = [float(t) for t in np.linspace(
+        config.t_start, config.resolved_t_max(), config.points)]
     if config.jobs == 1:
-        rows = []
-        for i, t in enumerate(times):
-            rows.append(_witness_row(float(t), prop.unitary(float(t)),
-                                     partition, ms, config.sdp_gap_tol))
-            if progress is not None:
-                progress(i + 1, len(times))
-        return ScramblingReport(config, rows)
+        return ScramblingReport(config, _scan_rows(config, unitary_of, times,
+                                                   progress))
 
-    chunks = np.array_split(times, config.jobs)
+    workers = min(config.jobs, len(times))
     rows = []
     with ProcessPoolExecutor(
-            max_workers=config.jobs, initializer=_scan_worker_init,
-            initargs=(config, prop.evals, prop.evecs)) as pool:
+            max_workers=workers, initializer=_scan_worker_init,
+            initargs=(config, unitary_of)) as pool:
         for part in pool.map(_scan_worker_chunk,
-                             [list(map(float, c)) for c in chunks]):
+                             [list(map(float, c))
+                              for c in np.array_split(times, workers)]):
             rows.extend(part)
             if progress is not None:
                 progress(len(rows), len(times))
@@ -310,19 +308,13 @@ def run_clifford_scan(config: Optional[ExperimentConfig] = None,
                       points: Optional[int] = None) -> ScramblingReport:
     """Witness curves of the interpolating Clifford circuit over theta.
 
-    The ``t`` column holds theta in [0, t_max] (default one period, pi).
+    The preset of :func:`run_scan` with ``model="clifford", n=3``; the
+    ``t`` column holds theta in [0, t_max] (default one period, pi).
     """
-    config = config or ExperimentConfig(model="clifford", n=3, points=25)
-    config = replace(config, model="clifford", n=3)   # circuit is 3 qubits
+    config = replace(config or ExperimentConfig(points=25), model="clifford")
     if points is not None:
         config = replace(config, points=points)
-    thetas = np.linspace(config.t_start, config.resolved_t_max(), config.points)
-    partition = PartitionSpec.leading(3, config.resolved_n_c())
-    ms = MeasurementSet.pauli(config.measurements)
-    rows = [_witness_row(float(th), clifford_scan_unitary(float(th)),
-                         partition, ms, config.sdp_gap_tol)
-            for th in thetas]
-    return ScramblingReport(config, rows)
+    return run_scan(config)
 
 
 @dataclass

@@ -1,17 +1,17 @@
 """Steerable-weight semidefinite programming.
 
 Public surface: strategy enumeration, the steering-weight problem with
-its interior-point solver and certificates, a certified bound for
-regions past the solver's envelope, and a first-order oracle
-used to cross-check the solver in tests.
+its one entry point :func:`solve_steering_weight` (exact exits, the
+interior-point solver, and a certified bound for regions past the
+solver's envelope) and certificates, and a first-order oracle used to
+cross-check the solver in tests.
 """
 
 from ._kernels import congruence_rep, smat, svec, svec_indices
 from .firstorder import FirstOrderResult, first_order_steering_weight
 from .ipm import ConicResult, NumericalFailure, solve_conic
 from .problem import (SdpSolution, SteeringWeightProblem,
-                      bound_steering_weight, solve_steering_weight,
-                      verify_certificate)
+                      solve_steering_weight, verify_certificate)
 from .strategies import (MAX_STRATEGIES, DeterministicStrategy,
                          enumerate_strategies)
 
@@ -27,7 +27,6 @@ __all__ = [
     "solve_conic",
     "SdpSolution",
     "SteeringWeightProblem",
-    "bound_steering_weight",
     "solve_steering_weight",
     "verify_certificate",
     "MAX_STRATEGIES",

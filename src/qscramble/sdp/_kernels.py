@@ -36,27 +36,28 @@ def svec_indices(n: int):
 
 
 def svec(x: np.ndarray) -> np.ndarray:
-    """Isometric real vectorization of a Hermitian matrix."""
-    n = x.shape[0]
+    """Isometric real vectorization of a Hermitian matrix, or of every
+    matrix of a stack (leading axes are batch axes)."""
+    n = x.shape[-1]
     diag, iu, ju = svec_indices(n)
-    out = np.empty(n * n)
-    out[:n] = x[diag, diag].real
-    off = x[iu, ju]
+    out = np.empty(x.shape[:-2] + (n * n,))
+    out[..., :n] = x[..., diag, diag].real
+    off = x[..., iu, ju]
     m = iu.size
-    out[n:n + m] = _SQRT2 * off.real
-    out[n + m:] = _SQRT2 * off.imag
+    out[..., n:n + m] = _SQRT2 * off.real
+    out[..., n + m:] = _SQRT2 * off.imag
     return out
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`, batched over the leading axes of ``v``."""
     diag, iu, ju = svec_indices(n)
     m = iu.size
-    out = np.zeros((n, n), dtype=complex)
-    out[diag, diag] = v[:n]
-    off = (v[n:n + m] + 1j * v[n + m:]) / _SQRT2
-    out[iu, ju] = off
-    out[ju, iu] = off.conj()
+    out = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+    out[..., diag, diag] = v[..., :n]
+    off = (v[..., n:n + m] + 1j * v[..., n + m:]) / _SQRT2
+    out[..., iu, ju] = off
+    out[..., ju, iu] = off.conj()
     return out
 
 

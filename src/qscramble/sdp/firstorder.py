@@ -76,13 +76,11 @@ def first_order_steering_weight(members, tol: float = 1e-10,
         return u - a_mat.T @ cho_solve(gram, a_mat @ u - b_vec, check_finite=False)
 
     def proj_cone(u):
-        out = np.empty_like(u)
-        for k in range(n_blocks):
-            m = smat(u[k * blk:(k + 1) * blk], d)
-            evals, evecs = np.linalg.eigh(m)
-            evals = np.clip(evals, 0.0, None)
-            out[k * blk:(k + 1) * blk] = svec((evecs * evals) @ evecs.conj().T)
-        return out
+        # every block at once: one batched eigh per iteration
+        evals, evecs = np.linalg.eigh(smat(u.reshape(n_blocks, blk), d))
+        evals = np.clip(evals, 0.0, None)
+        return svec((evecs * evals[:, None, :])
+                    @ evecs.conj().swapaxes(-1, -2)).reshape(ntot)
 
     s_vec = np.zeros(ntot)
     residual = np.inf

@@ -24,20 +24,22 @@ and strategies whose intersection is trivial are eliminated exactly.
 For fully projective assemblages every strategy dies and the weight is
 returned as exactly 1 with a synthesized dual certificate (the second
 exit); for full-rank assemblages the reduction is the identity and adds
-no work.  Whatever remains goes to the interior-point solver, which
-refuses Schur systems past ``_SCHUR_BYTE_CAP``.
+no work.  Whatever remains goes to the interior-point solver, unless its
+reduced Schur system is past ``_SCHUR_BYTE_CAP``.
 
-For regions it refuses, :func:`bound_steering_weight` proves an upper
-bound TSW <= 1 - m from an explicit local model of mass m.  It runs the
-exact-zero exit's search from the same least-norm model, with more
-rounds and toward the PSD cone itself, then scales the result to exact
-feasibility.
+For those regions the solver proves an upper bound TSW <= 1 - m from an
+explicit local model of mass m instead.  It runs the exact-zero exit's
+search from the same least-norm model, with more rounds and toward the
+PSD cone itself, then scales the result to exact feasibility.
+:func:`solve_steering_weight` is the one entry point and takes every
+exit in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -124,6 +126,10 @@ def _intersect(basis_a: Optional[np.ndarray], basis_b: Optional[np.ndarray],
 class SteeringWeightProblem:
     """Validated assemblage plus its deterministic-strategy structure.
 
+    The members are stacked setting-major once (``flat``) and their
+    eigenvalues computed once; validation, the exits and the large-region
+    bound all read them, and share one least-norm model.
+
     Parameters
     ----------
     members : sequence over settings of sequences over outcomes
@@ -143,20 +149,46 @@ class SteeringWeightProblem:
             self._validate()
         self.strategies = enumerate_strategies(self.n_settings, self.n_outcomes)
 
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Members stacked setting-major."""
+        return np.stack([m for row in self.members for m in row])
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of every member, setting-major."""
+        return np.linalg.eigvalsh(self.flat)
+
+    @property
+    def floor(self) -> float:
+        """Smallest eigenvalue of any member."""
+        return float(self.eigenvalues[:, 0].min())
+
+    @cached_property
+    def least_norm(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The selection map A, the least-norm model pinv @ members and
+        the null-space projector 1 - pinv A."""
+        a_mat, pinv = selection(self.n_settings, self.n_outcomes)
+        seed = _hermitian(np.einsum("lr,rij->lij", pinv, self.flat))
+        return a_mat, seed, np.eye(len(pinv)) - pinv @ a_mat
+
     def _validate(self):
         for x, row in enumerate(self.members):
             if len(row) != self.n_outcomes:
                 raise ValueError("ragged assemblage: outcome counts differ")
-            total = 0.0
             for a, m in enumerate(row):
                 if m.shape != (self.dim, self.dim):
                     raise ValueError(f"member ({a}|{x}) has shape {m.shape}")
                 if not np.allclose(m, m.conj().T, atol=1e-8):
                     raise ValueError(f"member ({a}|{x}) is not Hermitian")
-                lam_min = float(np.linalg.eigvalsh(m)[0])
-                if lam_min < -1e-8:
-                    raise ValueError(
-                        f"member ({a}|{x}) has negative eigenvalue {lam_min:.2e}")
+        lam_min = self.eigenvalues[:, 0].reshape(self.n_settings,
+                                                 self.n_outcomes)
+        for x, row in enumerate(self.members):
+            total = 0.0
+            for a, m in enumerate(row):
+                if lam_min[x, a] < -1e-8:
+                    raise ValueError(f"member ({a}|{x}) has negative "
+                                     f"eigenvalue {lam_min[x, a]:.2e}")
                 total += float(np.trace(m).real)
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(
@@ -220,21 +252,20 @@ class _Reduction:
         return m if pi is None else pi.conj().T @ m @ pi
 
 
-def solve_steering_weight(members, gap_tol: float = ipm.DEFAULT_GAP_TOL,
-                          feas_tol: float = ipm.DEFAULT_FEAS_TOL,
-                          max_iter: int = ipm.DEFAULT_MAX_ITER,
-                          validate: bool = True) -> SdpSolution:
-    """Steerable weight of an assemblage via the interior-point solver.
+def solve_steering_weight(members,
+                          gap_tol: float = ipm.DEFAULT_GAP_TOL) -> SdpSolution:
+    """Steerable weight of an assemblage, by the first exit that settles it.
 
-    A certified zero or unit weight returns before any interior-point
-    iteration (``iterations == 0``); a Schur system past the memory cap
-    raises :class:`ipm.NumericalFailure`.  Returns an
-    :class:`SdpSolution`; the weight itself is
+    In order: the exact zero, facial reduction with the exact unit
+    weight (both ``iterations == 0``), the interior-point solve, and for
+    a reduced Schur system past the memory cap the certified bound of
+    :func:`_bound_weight` (status "Bounded"), which raises
+    :class:`ipm.NumericalFailure` when it cannot pin the weight.  Returns
+    an :class:`SdpSolution`; the weight itself is
     ``solution.steerable_weight`` and the hidden-state decomposition and
     dual certificate live in the original member space.
     """
-    problem = members if isinstance(members, SteeringWeightProblem) \
-        else SteeringWeightProblem(members, validate=validate)
+    problem = SteeringWeightProblem(members)
     zero = _exact_zero_weight(problem)
     if zero is not None:
         return zero
@@ -254,8 +285,8 @@ def solve_steering_weight(members, gap_tol: float = ipm.DEFAULT_GAP_TOL,
             s = d if pi is None else pi.shape[1]
             schur_dim += s * s
     if schur_dim ** 2 * 8 > _SCHUR_BYTE_CAP:
-        raise ipm.NumericalFailure(
-            f"Schur system {schur_dim}x{schur_dim} needs "
+        return _bound_weight(
+            problem, f"Schur system {schur_dim}x{schur_dim} needs "
             f"~{schur_dim ** 2 * 8 / 1e9:.1f} GB; member dimension {d} is "
             "past the interior-point envelope")
 
@@ -300,7 +331,7 @@ def solve_steering_weight(members, gap_tol: float = ipm.DEFAULT_GAP_TOL,
             row_key.append((x, a))
 
     res = ipm.solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
-                          gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+                          gap_tol=gap_tol)
 
     mu = float(sum(np.trace(res.x[strat_pos[s.index]]).real for s in survivors))
     hidden = []
@@ -337,13 +368,14 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     is dual feasible with value sum_x tr(sum_a sigma_{a|x})/n_settings = 1,
     which proves mu* <= 1.  Returns None when no such model turns up.
     """
-    flat, a_mat, seed, to_null, floor = _least_norm_model(problem)
+    a_mat, seed, to_null = problem.least_norm
+    floor = problem.floor
     eps = 1e-3 * floor / len(seed)
     rounds = ZERO_EXIT_ROUNDS if floor > 0.0 else 0
     hidden, lam_min = _reflect(seed, to_null, eps, rounds, 0.0)
     if lam_min < 0.0:
         return None
-    resid = np.einsum("rl,lij->rij", a_mat, hidden) - flat
+    resid = np.einsum("rl,lij->rij", a_mat, hidden) - problem.flat
     if np.abs(resid).max() > ZERO_EXIT_RESIDUAL:
         return None
     mu = float(np.trace(hidden, axis1=1, axis2=2).real.sum())
@@ -353,42 +385,31 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     return SdpSolution(mu, list(hidden), certificate, "Optimal", 0.0, 0)
 
 
-def bound_steering_weight(members) -> SdpSolution:
+def _bound_weight(problem: SteeringWeightProblem,
+                  refusal: str) -> SdpSolution:
     """Certified upper bound on the steerable weight from a local model.
 
-    For regions past the interior-point envelope whose weight the
-    exact-zero exit could not certify.  Starting from the same
-    least-norm model, up to ``MAX_ROUNDS`` averaged reflections toward
-    the PSD cone {sigma >= 0} look for a nearly PSD point of the affine
-    set; :func:`_certify` then scales it to an exactly feasible model of
-    mass m, which proves TSW <= 1 - m.  Returns status "Bounded" with
-    the bound 1 - m as the weight and as ``gap``, no dual certificate
-    and 0 iterations; raises :class:`ipm.NumericalFailure` when
-    1 - m exceeds ``BOUND_TOL``.  The result depends on the members
-    alone.
+    For a region whose Schur system the interior-point solver refuses
+    (``refusal`` says why) and whose weight the exact-zero exit could
+    not certify.  Starting from the same least-norm model, up to
+    ``MAX_ROUNDS`` averaged reflections toward the PSD cone {sigma >= 0}
+    look for a nearly PSD point of the affine set; :func:`_certify` then
+    scales it to an exactly feasible model of mass m, which proves
+    TSW <= 1 - m.  Returns status "Bounded" with the bound 1 - m as the
+    weight and as ``gap``, no dual certificate and 0 iterations; raises
+    :class:`ipm.NumericalFailure` when 1 - m exceeds ``BOUND_TOL``.  The
+    result depends on the members alone.
     """
-    problem = SteeringWeightProblem(members)
-    flat, a_mat, seed, to_null, floor = _least_norm_model(problem)
+    a_mat, seed, to_null = problem.least_norm
+    floor = problem.floor
     target = max(0.25 * BOUND_TOL * max(floor, 0.0), 1e-13)
     hidden, _ = _reflect(seed, to_null, 0.0, MAX_ROUNDS, target)
-    mu, model = _certify(flat, a_mat, hidden, floor)
+    mu, model = _certify(problem.flat, a_mat, hidden, floor)
     if mu < 1.0 - BOUND_TOL:
         raise ipm.NumericalFailure(
-            f"local model certifies only mass {mu:.9f} at member "
-            f"dimension {problem.dim}; weight bound exceeds {BOUND_TOL:g}")
+            f"{refusal}, and a local model certifies only mass {mu:.9f}; "
+            f"weight bound exceeds {BOUND_TOL:g}")
     return SdpSolution(mu, list(model), None, "Bounded", 1.0 - mu, 0)
-
-
-def _least_norm_model(problem: SteeringWeightProblem):
-    """Members stacked setting-major, the selection map A, the least-norm
-    model pinv @ members, the null-space projector 1 - pinv A and the
-    smallest member eigenvalue."""
-    a_mat, pinv = selection(problem.n_settings, problem.n_outcomes)
-    flat = np.stack([m for row in problem.members for m in row])
-    seed = _hermitian(np.einsum("lr,rij->lij", pinv, flat))
-    to_null = np.eye(len(pinv)) - pinv @ a_mat
-    floor = float(np.linalg.eigvalsh(flat)[:, 0].min())
-    return flat, a_mat, seed, to_null, floor
 
 
 def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,

@@ -22,7 +22,10 @@ scrambling witness combines three regions:
 where TSW[total] is time independent (the weight is invariant under a
 global unitary and under discarding maximally mixed ancillas, both exact
 identities the tests probe) and equals the single-qubit weight of the
-bare measurement set.
+bare measurement set.  Each weight is one
+:func:`qscramble.sdp.solve_steering_weight` call, which picks by itself
+between its exact exits, the interior-point SDP and, for a region past
+its Schur-memory cap, a certified upper bound.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import numpy as np
 from .qla import ComplexMatrix, partial_trace
 from .channels import ChoiState, system_labels
 from .models import haar_random_unitary, pauli_matrix
-from .sdp import bound_steering_weight, solve_steering_weight
-from .sdp.ipm import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL, NumericalFailure
+from .sdp import solve_steering_weight
+from .sdp.ipm import DEFAULT_GAP_TOL, NumericalFailure
 
 _PAULI_BY_AXIS = {"x": pauli_matrix("X"), "y": pauli_matrix("Y"),
                   "z": pauli_matrix("Z")}
@@ -62,6 +65,9 @@ class MeasurementSet:
     @classmethod
     def pauli(cls, axes: str = "xyz") -> "MeasurementSet":
         """Projective +/- measurements along the named Pauli axes."""
+        if not axes:
+            raise ValueError("measurements must name at least one Pauli "
+                             f"axis, got {axes!r}")
         effects = []
         for ax in axes.lower():
             p = _PAULI_BY_AXIS.get(ax)
@@ -141,23 +147,6 @@ def temporal_assemblage(choi: ChoiState, measurements: MeasurementSet,
     return Assemblage(members, region)
 
 
-def temporal_steerable_weight(assemblage: Assemblage,
-                              gap_tol: float = DEFAULT_GAP_TOL,
-                              feas_tol: float = DEFAULT_FEAS_TOL,
-                              full_output: bool = False):
-    """Steerable weight of a temporal assemblage (0 = unsteerable).
-
-    Returns the weight, or ``(weight, SdpSolution)`` with
-    ``full_output=True`` when the hidden states or the dual certificate
-    are needed.
-    """
-    sol = solve_steering_weight(assemblage.members, gap_tol=gap_tol,
-                                feas_tol=feas_tol)
-    if full_output:
-        return sol.steerable_weight, sol
-    return sol.steerable_weight
-
-
 _TSW_TOTAL_CACHE: Dict[Tuple[bytes, float], float] = {}
 
 
@@ -213,15 +202,13 @@ def minus_t3(choi: ChoiState, region_c: Sequence[str],
 
     -T3 = TSW[total] - TSW[C] - TSW[D] for the measure-then-evolve
     protocol on the maximally mixed register, each region's assemblage
-    read off ``choi`` by :func:`temporal_assemblage`.  Every region goes to
-    :func:`solve_steering_weight`, whose exact-zero exit certifies
-    TSW = 0 at any member dimension when a local model of mass 1 turns
-    up.  A region that fails that test goes on to the interior-point
-    SDP.  Full-rank regions above ``EXACT_DIM`` are past the solver's
-    Schur-memory cap, which refuses them, and
-    :func:`bound_steering_weight` certifies an upper bound for them
-    instead (status "bounded").  Every weight depends on this Choi state
-    alone, never on earlier calls.
+    read off ``choi`` by :func:`temporal_assemblage`.  Each region's
+    weight is one :func:`solve_steering_weight` call, which takes the
+    first of its exits that settles the region: the exact zero, the exact
+    unit weight, the interior-point SDP, or, for a region whose Schur
+    system is past the solver's memory cap, a certified upper bound
+    (status "bounded").  Every weight depends on this Choi state alone,
+    never on earlier calls.
     """
     ms = measurements or MeasurementSet.pauli()
     tsw_tot = total_steerable_weight(ms, gap_tol=gap_tol)
@@ -229,15 +216,9 @@ def minus_t3(choi: ChoiState, region_c: Sequence[str],
     for name, region in (("C", region_c), ("D", region_d)):
         asm = temporal_assemblage(choi, ms, region)
         try:
-            try:
-                sol = solve_steering_weight(asm.members, gap_tol=gap_tol)
-            except NumericalFailure:
-                if asm.dim <= EXACT_DIM:
-                    raise
-                sol = bound_steering_weight(asm.members)
+            parts[name] = solve_steering_weight(asm.members, gap_tol=gap_tol)
         except NumericalFailure as exc:
             raise NumericalFailure(f"region {name}: {exc}") from exc
-        parts[name] = sol
     c, d = parts["C"], parts["D"]
     return WitnessRecord(tsw_tot - c.steerable_weight - d.steerable_weight,
                          c.steerable_weight, d.steerable_weight, tsw_tot,
@@ -264,8 +245,3 @@ def tsw_unitary_invariance_check(assemblage: Assemblage, seeds=(0, 1, 2),
         worst = max(worst, abs(w - base))
     return worst
 
-
-#: largest member dimension at which minus_t3 reports a refused
-#: interior-point solve as a failure; larger refused regions get a
-#: certified bound instead
-EXACT_DIM = 32

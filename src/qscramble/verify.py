@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from . import qla, models, channels, steering
+from . import qla, models, channels
 from .qla import (DensityMatrix, QubitRegister, kron, partial_trace,
                   partial_transpose, hermitian_eig, Propagator,
                   von_neumann_entropy, mutual_information,
@@ -28,8 +28,8 @@ from .models import (PauliString, pauli_matrix, build_ising, build_syk,
 from .channels import (PartitionSpec, build_choi, build_pdm,
                        tripartite_mutual_information, assemblage_from_pdm)
 from .steering import (MeasurementSet, temporal_assemblage,
-                       temporal_steerable_weight, total_steerable_weight,
-                       minus_t3, tsw_unitary_invariance_check)
+                       total_steerable_weight, minus_t3,
+                       tsw_unitary_invariance_check)
 from .sdp import (first_order_steering_weight, solve_steering_weight,
                   verify_certificate, enumerate_strategies)
 
@@ -346,10 +346,12 @@ def check_assemblage_sanity(quick: bool) -> str:
 def check_tsw_anchors(quick: bool) -> str:
     ms = MeasurementSet.pauli()
     choi = build_choi(np.eye(8))
-    w_q1 = temporal_steerable_weight(temporal_assemblage(choi, ms, ("q1",)))
+    w_q1 = solve_steering_weight(
+        temporal_assemblage(choi, ms, ("q1",)).members).steerable_weight
     _ok(w_q1 == 1.0, f"projective TSW {w_q1} != 1 exactly")
-    w_rest, sol = temporal_steerable_weight(
-        temporal_assemblage(choi, ms, ("q2", "q3")), full_output=True)
+    sol = solve_steering_weight(
+        temporal_assemblage(choi, ms, ("q2", "q3")).members)
+    w_rest = sol.steerable_weight
     _ok(w_rest <= 1e-12 and sol.iterations == 0,
         f"untouched region TSW {w_rest} after {sol.iterations} iterations")
     _ok(total_steerable_weight(ms) == 1.0, "TSW total != 1 exactly")
@@ -376,11 +378,9 @@ def check_tsw_invariance(quick: bool) -> str:
     seeds = (0,) if quick else (0, 1)
     defect = tsw_unitary_invariance_check(asm, seeds=seeds)
     _ok(defect < WITNESS_TOL, f"unitary invariance defect {defect}")
-    base = temporal_steerable_weight(asm)
-    padded = steering.Assemblage(
-        [[np.kron(m, np.eye(2) / 2) for m in row] for row in asm.members],
-        ("q1", "anc"))
-    w_pad = temporal_steerable_weight(padded)
+    base = solve_steering_weight(asm.members).steerable_weight
+    padded = [[np.kron(m, np.eye(2) / 2) for m in row] for row in asm.members]
+    w_pad = solve_steering_weight(padded).steerable_weight
     _ok(abs(w_pad - base) < WITNESS_TOL,
         f"ancilla invariance {w_pad} vs {base}")
     return "conjugation and ancilla transport"
@@ -389,12 +389,12 @@ def check_tsw_invariance(quick: bool) -> str:
 def check_mixing_convexity(quick: bool) -> str:
     ms = MeasurementSet.pauli()
     asm = temporal_assemblage(build_choi(np.eye(2)), ms)
-    base = temporal_steerable_weight(asm)
+    base = solve_steering_weight(asm.members).steerable_weight
     prev = base + 1e-9
     for eta in (0.8, 0.5, 0.2):
         mixed = [[eta * m + (1 - eta) * np.trace(m) * np.eye(2) / 2
                   for m in row] for row in asm.members]
-        w = temporal_steerable_weight(steering.Assemblage(mixed, ("q1",)))
+        w = solve_steering_weight(mixed).steerable_weight
         _ok(w <= eta * base + WITNESS_TOL, f"convexity at eta={eta}")
         _ok(w <= prev + WITNESS_TOL, f"monotonicity at eta={eta}")
         prev = w
@@ -407,12 +407,11 @@ def check_dual_certificates(quick: bool) -> str:
     asm = temporal_assemblage(build_choi(np.eye(2)), ms)
     mixed = [[eta * m + (1 - eta) * np.trace(m) * np.eye(2) / 2
               for m in row] for row in asm.members]
-    _, sol = temporal_steerable_weight(steering.Assemblage(mixed, ("q1",)),
-                                       full_output=True)
+    sol = solve_steering_weight(mixed)
     _ok(verify_certificate(mixed, sol), "noisy qubit certificate")
     asm_c = temporal_assemblage(build_choi(clifford_scrambler_unitary()), ms,
                                 ("q2", "q3"))
-    _, sol_c = temporal_steerable_weight(asm_c, full_output=True)
+    sol_c = solve_steering_weight(asm_c.members)
     _ok(verify_certificate(asm_c.members, sol_c), "scrambler-region certificate")
     return "independent dual recheck on two instances"
 
@@ -421,7 +420,8 @@ def check_exact_zero_exit(quick: bool) -> str:
     prop = Propagator(build_ising(5, 1.0, 0.5).matrix())
     asm = temporal_assemblage(build_choi(prop.unitary(20.0)),
                               MeasurementSet.pauli(), ("q3", "q4", "q5"))
-    weight, sol = temporal_steerable_weight(asm, full_output=True)
+    sol = solve_steering_weight(asm.members)
+    weight = sol.steerable_weight
     _ok(sol.status == "Optimal" and sol.iterations == 0,
         f"{sol.status} after {sol.iterations} iterations, not the exit")
     _ok(verify_certificate(asm.members, sol), "I/n_settings certificate")
@@ -446,7 +446,7 @@ def check_first_order_agreement(quick: bool) -> str:
     asm = temporal_assemblage(build_choi(np.eye(2)), ms)
     mixed = [[eta * m + (1 - eta) * np.trace(m) * np.eye(2) / 2
               for m in row] for row in asm.members]
-    w_ipm = temporal_steerable_weight(steering.Assemblage(mixed, ("q1",)))
+    w_ipm = solve_steering_weight(mixed).steerable_weight
     res = first_order_steering_weight(mixed, tol=1e-10,
                                       max_iter=40000 if quick else 200000)
     _ok(res.converged, "splitting method did not converge")
@@ -468,8 +468,8 @@ def check_determinism(quick: bool) -> str:
     rng = _rng(24)
     asm = temporal_assemblage(build_choi(haar_random_unitary(8, rng)),
                               MeasurementSet.pauli(), ("q1", "q2"))
-    w1 = temporal_steerable_weight(asm)
-    w2 = temporal_steerable_weight(asm)
+    w1 = solve_steering_weight(asm.members).steerable_weight
+    w2 = solve_steering_weight(asm.members).steerable_weight
     _ok(w1 == w2, f"repeat solve drifted: {w1} vs {w2}")
     return "bitwise repeatable solve"
 
@@ -486,7 +486,7 @@ def scaling_check(dim: int = SCALING_DIM,
     reduced = temporal_assemblage(build_choi(haar_random_unitary(2 ** n, rng)),
                                   MeasurementSet.pauli(), region)
     start = time.perf_counter()
-    weight, sol = temporal_steerable_weight(reduced, full_output=True)
+    sol = solve_steering_weight(reduced.members)
     elapsed = time.perf_counter() - start
     if sol.status != "Optimal":
         raise CheckFailure(f"d={dim} solve ended {sol.status}")
@@ -495,7 +495,7 @@ def scaling_check(dim: int = SCALING_DIM,
     if elapsed > budget_s:
         raise CheckFailure(f"d={dim} solve took {elapsed:.1f}s "
                            f"(budget {budget_s:.0f}s)")
-    return weight, elapsed
+    return sol.steerable_weight, elapsed
 
 
 def check_scaling_envelope(quick: bool) -> str:

@@ -25,7 +25,6 @@ from qscramble.models import (clifford_scrambler_unitary, haar_random_unitary,
                               swap_network)
 from qscramble.sdp import first_order_steering_weight, solve_steering_weight
 from qscramble.steering import (MeasurementSet, minus_t3, temporal_assemblage,
-                                temporal_steerable_weight,
                                 total_steerable_weight)
 
 #: every report produced while the acceptance suite runs; the hierarchy
@@ -117,8 +116,8 @@ def test_criterion_04_unit_weight_at_t0():
     ms = MeasurementSet.pauli("xyz")
     total = total_steerable_weight(ms)
     assert total == pytest.approx(1.0, abs=1e-6)
-    direct = temporal_steerable_weight(
-        temporal_assemblage(build_choi(np.eye(4)), ms))
+    direct = solve_steering_weight(
+        temporal_assemblage(build_choi(np.eye(4)), ms).members).steerable_weight
     assert direct == pytest.approx(1.0, abs=1e-6)
     return f"shortcut {total:.9f}, full-register solve {direct:.9f}"
 

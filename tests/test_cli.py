@@ -177,7 +177,7 @@ def test_zero_coupling_without_horizon_is_a_clean_error(capsys):
     assert "with g = 0 has no default horizon" in capsys.readouterr().err
 
 
-def test_unusable_tolerance_or_job_count_is_a_clean_error(capsys):
+def test_unusable_tolerance_or_job_count_is_a_clean_error(capsys, tmp_path):
     base = ["scan", "--model", "ising", "--n", "3", "--points", "3",
             "--tmax", "40"]
     rc = cli.main(base + ["--sdp-tol", "-1"])
@@ -193,6 +193,12 @@ def test_unusable_tolerance_or_job_count_is_a_clean_error(capsys):
                    "--points", "2", "--jobs", "0"])
     assert rc == 2
     assert "error: jobs must be at least 1" in capsys.readouterr().err
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps({"measurements": ""}))
+    rc = cli.main(base + ["--config", str(config)])
+    assert rc == 2
+    assert ("error: measurements must name at least one Pauli axis, got ''"
+            in capsys.readouterr().err)
 
 
 def test_bad_arguments_exit_nonzero():

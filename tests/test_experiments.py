@@ -11,7 +11,7 @@ from qscramble.experiments import (CSV_HEADER, ExperimentConfig,
                                    run_clifford_scan, run_scan,
                                    save_unitary_file, size_sweep)
 from qscramble.models import haar_random_unitary
-from qscramble import steering
+from qscramble import experiments, steering
 from qscramble.sdp import problem as sdp_problem
 from qscramble.plotting import write_scan_svg
 from qscramble.sdp import NumericalFailure
@@ -39,6 +39,10 @@ def test_config_validation():
     for jobs in (0, -2):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             ExperimentConfig(jobs=jobs)
+    with pytest.raises(ValueError, match="at least one Pauli axis"):
+        ExperimentConfig(measurements="")
+    with pytest.raises(ValueError, match="unknown Pauli axis"):
+        ExperimentConfig(measurements="xq")
 
 
 def test_config_partition_defaults():
@@ -181,6 +185,45 @@ def test_run_scan_records_per_row_failures(monkeypatch):
         assert np.isfinite(row.minus_i3)  # witness columns that need no SDP
         assert math.isnan(row.minus_t3)
     assert "failed:" in report.to_csv()
+
+
+def test_run_scan_caps_workers_at_grid_size(monkeypatch):
+    workers = []
+
+    class InProcessPool:
+        """ProcessPoolExecutor stand-in: records its worker count and runs
+        the chunks in this process, so the test starts no process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiments, "_worker_state", {})
+    cfg = ExperimentConfig(model="ising", n=3, g=1.0, h=0.5, points=3,
+                           t_max=3.0)
+    par = run_scan(ExperimentConfig(**{**cfg.to_dict(), "jobs": 5000}))
+    assert workers == [3]
+    assert par.to_csv() == run_scan(cfg).to_csv()
+
+
+def test_clifford_scan_reports_progress_and_honours_jobs():
+    calls = []
+    cfg = ExperimentConfig(model="clifford", n=3, points=5)
+    seq = run_scan(cfg, progress=lambda done, total: calls.append(done))
+    assert calls == [1, 2, 3, 4, 5]
+    par = run_scan(ExperimentConfig(**{**cfg.to_dict(), "jobs": 2}))
+    assert par.to_csv() == seq.to_csv()
+    assert run_clifford_scan(points=5).to_csv() == seq.to_csv()
 
 
 def test_clifford_scan_grid():

@@ -151,6 +151,22 @@ def test_schur_cap_guard(monkeypatch):
         solve_steering_weight(members)
 
 
+def test_kernel_svec_smat_batch_matches_per_matrix(rng):
+    # the first-order oracle vectorizes every cone block in one call; each
+    # slice must be bitwise what the single-matrix call gives
+    x = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    x = x + x.conj().swapaxes(-1, -2)
+    v = _kernels.svec(x)
+    assert v.shape == (2, 3, 16)
+    back = _kernels.smat(v, 4)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(v[i, j], _kernels.svec(x[i, j]))
+            np.testing.assert_array_equal(back[i, j],
+                                          _kernels.smat(v[i, j], 4))
+    np.testing.assert_allclose(back, x, atol=1e-13)
+
+
 @pytest.mark.parametrize("s, r", [(4, 4), (3, 5), (5, 2)])
 def test_kernel_congruence_action(rng, s, r):
     # congruence_rep(G) acting on svec(X) must equal svec(G X G^H); facial
@@ -346,3 +362,32 @@ def test_zero_exit_at_member_dimension_32():
     assert sol.status == "Optimal" and sol.iterations == 0
     assert sol.steerable_weight <= 1e-12
     assert verify_certificate(members, sol)
+
+
+def test_member_data_is_computed_once_per_solve(monkeypatch):
+    # without reflections the exact-zero exit rejects this region, and with
+    # the Schur cap at zero the bound takes it: both start from one
+    # least-norm model and one eigensolve of the stacked members
+    members = _ising_region(5, 20.0, ("q3", "q4", "q5"))
+    monkeypatch.setattr(sdp_problem, "ZERO_EXIT_ROUNDS", 0)
+    monkeypatch.setattr(sdp_problem, "_SCHUR_BYTE_CAP", 1.0)
+    stack = np.stack([m for row in members for m in row])
+    selections, member_eigensolves = [], []
+    selection, eigvalsh = sdp_problem.selection, np.linalg.eigvalsh
+
+    def count_selection(*args):
+        selections.append(args)
+        return selection(*args)
+
+    def count_eigvalsh(a, *args, **kwargs):
+        if np.shape(a) == stack.shape and np.array_equal(a, stack):
+            member_eigensolves.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sdp_problem, "selection", count_selection)
+    monkeypatch.setattr(np.linalg, "eigvalsh", count_eigvalsh)
+    sol = solve_steering_weight(members)
+    assert sol.status == "Bounded"
+    assert 0.0 <= sol.steerable_weight <= sdp_problem.BOUND_TOL
+    assert len(selections) == 1
+    assert len(member_eigensolves) == 1

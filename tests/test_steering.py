@@ -6,12 +6,11 @@ from qscramble.channels import PartitionSpec, build_choi, system_labels
 from qscramble.models import (build_ising, clifford_scrambler_unitary,
                               haar_random_unitary, random_local_unitary)
 from qscramble.qla import DensityMatrix, Propagator, partial_trace
-from qscramble import steering
-from qscramble.sdp import NumericalFailure, bound_steering_weight
+from qscramble.sdp import (NumericalFailure, SteeringWeightProblem,
+                           solve_steering_weight)
 from qscramble.sdp import problem as sdp_problem
 from qscramble.sdp.strategies import enumerate_strategies
-from qscramble.steering import (Assemblage, MeasurementSet, minus_t3,
-                                temporal_assemblage, temporal_steerable_weight,
+from qscramble.steering import (MeasurementSet, minus_t3, temporal_assemblage,
                                 total_steerable_weight,
                                 tsw_unitary_invariance_check)
 
@@ -117,21 +116,22 @@ def test_reduce_assemblage(rng):
 def test_identity_channel_is_maximally_steerable():
     red = temporal_assemblage(build_choi(np.eye(8)), MeasurementSet.pauli(),
                               ("q1",))
-    assert temporal_steerable_weight(red) == pytest.approx(1.0, abs=1e-9)
+    assert solve_steering_weight(red.members).steerable_weight == \
+        pytest.approx(1.0, abs=1e-9)
 
 
 def test_classical_assemblage_is_unsteerable():
     # commuting diagonal members admit an exact hidden-state model
     zz = isotropic_assemblage(1.0, [PZ])[0]
     members = [zz, zz, [np.eye(2) / 4, np.eye(2) / 4]]
-    asm = Assemblage(members, ("q1",))
-    assert temporal_steerable_weight(asm) < 1e-7
+    assert solve_steering_weight(members).steerable_weight < 1e-7
 
 
 def test_full_output_returns_solution():
     red = temporal_assemblage(build_choi(np.eye(4)), MeasurementSet.pauli(),
                               ("q1",))
-    w, sol = temporal_steerable_weight(red, full_output=True)
+    sol = solve_steering_weight(red.members)
+    w = minus_t3(build_choi(np.eye(4)), ("q1",), ("q2",)).tsw_c
     assert w == sol.steerable_weight
     assert sol.status == "Optimal"
 
@@ -142,7 +142,8 @@ def test_total_weight_matches_direct_solve(rng):
     assert total == pytest.approx(1.0, abs=1e-9)
     # the shortcut equals the honest full-register solve for a random U
     u = haar_random_unitary(4, rng)
-    direct = temporal_steerable_weight(temporal_assemblage(build_choi(u), ms))
+    direct = solve_steering_weight(
+        temporal_assemblage(build_choi(u), ms).members).steerable_weight
     assert direct == pytest.approx(total, abs=2e-6)
 
 
@@ -180,10 +181,10 @@ def test_local_unitary_cannot_scramble(rng):
 
 
 def test_bound_small_dims_defer_to_exact(monkeypatch):
-    def refuse(members):
-        raise AssertionError("bound used for a region within EXACT_DIM")
+    def refuse(problem, refusal):
+        raise AssertionError("bound used for a region the IPM accepts")
 
-    monkeypatch.setattr(steering, "bound_steering_weight", refuse)
+    monkeypatch.setattr(sdp_problem, "_bound_weight", refuse)
     prop = Propagator(build_ising(3, 1.0, 0.5).matrix())
     choi = build_choi(prop.unitary(0.8))
     rec = minus_t3(choi, ("q1", "q2"), ("q3",))
@@ -212,7 +213,8 @@ def test_bound_certifies_large_region():
     # TSW_D ~ 0 with a local model
     choi, region_d = _ising8_region_d(2.0)
     asm = temporal_assemblage(choi, MeasurementSet.pauli(), region_d)
-    sol = bound_steering_weight(asm.members)
+    sol = sdp_problem._bound_weight(SteeringWeightProblem(asm.members),
+                                    "Schur system refused")
     assert sol.status == "Bounded"
     assert 0.0 <= 1.0 - sol.mu_star <= 1e-6
 
@@ -223,12 +225,14 @@ def test_minus_t3_bounds_large_region_when_exit_fails(monkeypatch):
     monkeypatch.setattr(sdp_problem, "_exact_zero_weight", lambda p: None)
     bounds = []
 
-    def spy(members):
-        sol = bound_steering_weight(members)
-        bounds.append((members, sol))
+    bound = sdp_problem._bound_weight
+
+    def spy(problem, refusal):
+        sol = bound(problem, refusal)
+        bounds.append((problem.members, sol))
         return sol
 
-    monkeypatch.setattr(steering, "bound_steering_weight", spy)
+    monkeypatch.setattr(sdp_problem, "_bound_weight", spy)
     choi, region_d = _ising8_region_d(2.0)
     rec = minus_t3(choi, ("q1", "q2"), region_d)
     assert rec.status == "bounded" and rec.status_d == "Bounded"
