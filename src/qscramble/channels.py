@@ -5,7 +5,9 @@ A unitary channel on N qubits is turned into a state in two ways:
 * the Choi state: maximally entangled pairs between each input and a
   reference, with the channel applied to the input half.  By default only
   the first qubit keeps its reference (the witness never looks at the
-  others), which caps the state at 2^(N+1) dimensions for long scans.
+  others).  :class:`ChoiState` holds U itself: the witnesses need only
+  marginals, and each is one product formed straight from U, so a scan
+  never builds the 2^(N+1)-dimensional state.
 * the pseudo-density matrix (PDM): the two-time Pauli correlators of the
   channel packed into a Hermitian unit-trace matrix on input tensor
   output.  It is not positive; its negativity is exactly what temporal
@@ -15,18 +17,21 @@ A unitary channel on N qubits is turned into a state in two ways:
 
 The tripartite information of the channel is evaluated on the Choi state:
 with reference A and an output split C|D, scrambling shows up as
--I3 = I(A:CD) - I(A:C) - I(A:D) approaching its maximum.  The same state
-carries the temporal-steering witness: :func:`steering.temporal_assemblage`
-reads each region's assemblage off the marginal rho_{r1 R} by the Born
-rule, so a scan point builds one Choi state for both witnesses.  The
-PDM's own Born rule (:func:`assemblage_from_pdm`) is the independent
-route to the same members.
+-I3 = I(A:CD) - I(A:C) - I(A:D) approaching its maximum, read off the
+marginals rho_{AC} and rho_{AD}.  The same marginals carry the
+temporal-steering witness: :func:`steering.temporal_assemblage` reads
+each region's assemblage off rho_{r1 R} by the Born rule, so a scan point
+forms each marginal once for both witnesses.  The dense state
+(:attr:`ChoiState.state`) and the PDM's own Born rule
+(:func:`assemblage_from_pdm`) are the independent routes to the same
+numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,17 +87,76 @@ class PartitionSpec:
         return len(self.region_d)
 
 
-@dataclass
 class ChoiState:
-    """Choi state of a unitary channel, with its register layout."""
+    """Choi state of a unitary channel, formed from U on demand.
 
-    state: DensityMatrix
-    n_qubits: int
-    referenced: Tuple[str, ...]
+    ``referenced`` names the input qubits that keep their reference: all
+    of them (register ``r1..rN q1..qN``) or q1 alone (``r1 q1..qN``, the
+    others traced out).  A scan only ever needs small marginals, so the
+    state is held as U and each :meth:`marginal` is formed from it
+    directly; the dense matrix :attr:`state` is built only when asked for.
+    """
+
+    def __init__(self, unitary: ComplexMatrix, referenced: Sequence[str]):
+        self.unitary = unitary
+        self.n_qubits = unitary.shape[0].bit_length() - 1
+        self.referenced = tuple(referenced)
+        self._marginals: Dict[Tuple[str, ...], DensityMatrix] = {}
 
     @property
     def full_reference(self) -> bool:
         return len(self.referenced) == self.n_qubits
+
+    @property
+    def register(self) -> QubitRegister:
+        return QubitRegister(self.referenced + system_labels(self.n_qubits))
+
+    @cached_property
+    def state(self) -> DensityMatrix:
+        """The dense Choi state, built without the marginal route.
+
+        Full reference: the pure state of psi = (1 x U)|Omega>.  Reduced:
+        the r1 blocks ``U_a U_b^dag / 2^N`` with ``U_a`` the columns of U
+        whose q1 bit is a, that is ``U[:, :d/2]`` and ``U[:, d/2:]``.
+        """
+        u, dim = self.unitary, self.unitary.shape[0]
+        if self.full_reference:
+            # |Omega> = 2^{-N/2} sum_i |i>_R |i>_S, then (1 x U).
+            return DensityMatrix.pure(u.T.ravel() / np.sqrt(dim),
+                                      self.register)
+        u0, u1 = u[:, :dim // 2], u[:, dim // 2:]
+        g01 = u0 @ u1.conj().T
+        rho = np.block([[u0 @ u0.conj().T, g01],
+                        [g01.conj().T, u1 @ u1.conj().T]]) / dim
+        return DensityMatrix(rho, self.register)
+
+    def marginal(self, keep: Sequence[str]) -> DensityMatrix:
+        """Reduced state on ``keep``, in that order, formed from U alone.
+
+        The full-reference Choi vector is psi[r, q] = U[q, r] / 2^(N/2), so
+        U viewed as a tensor with axes q1..qN r1..rN is psi up to that
+        scale.  With the kept axes moved to the front and the rest
+        flattened, it is a matrix M, and the marginal is M M^dag / 2^N.
+        Traced references of a reduced state are simply among the rest.
+        Each marginal is formed once per state and then cached.
+        """
+        keep = tuple(keep)
+        cached = self._marginals.get(keep)
+        if cached is not None:
+            return cached
+        labels = self.register.labels
+        outside = [l for l in keep if l not in labels]
+        if outside:
+            raise ValueError(f"labels {outside} not in Choi register {labels}")
+        reg = QubitRegister(keep)
+        n = self.n_qubits
+        axes = QubitRegister(system_labels(n) + reference_labels(n)).axes(keep)
+        rest = tuple(i for i in range(2 * n) if i not in axes)
+        m = self.unitary.reshape((2,) * (2 * n)).transpose(axes + rest)
+        m = m.reshape(reg.dim, -1)
+        cached = DensityMatrix(m @ m.conj().T / self.unitary.shape[0], reg)
+        self._marginals[keep] = cached
+        return cached
 
 
 def build_choi(unitary: ComplexMatrix, full_reference: bool = False) -> ChoiState:
@@ -102,27 +166,16 @@ def build_choi(unitary: ComplexMatrix, full_reference: bool = False) -> ChoiStat
     reference (register ``r1..rN q1..qN``, dimension 4^N); otherwise only
     q1 keeps a reference and the remaining inputs enter maximally mixed
     (register ``r1 q1..qN``, dimension 2^(N+1)).  The reduced form is the
-    full form with r2..rN traced out: its ``r1`` blocks are
-    ``U_a U_b^dag / 2^N`` with ``U_a`` the columns of U whose q1 bit is a,
-    that is ``U[:, :d/2]`` and ``U[:, d/2:]``.
+    full form with r2..rN traced out.  Neither is formed here: the state
+    keeps U, and its marginals cost one product each.
     """
     unitary = np.asarray(unitary, dtype=complex)
     dim = unitary.shape[0]
     n = dim.bit_length() - 1
     if unitary.shape != (dim, dim) or 2 ** n != dim:
         raise ValueError(f"unitary shape {unitary.shape} is not a qubit operator")
-    sys = system_labels(n)
-    if full_reference:
-        # |Omega> = 2^{-N/2} sum_i |i>_R |i>_S, then (1 x U).
-        psi = unitary.T.ravel() / np.sqrt(dim)
-        reg = QubitRegister(reference_labels(n) + sys)
-        return ChoiState(DensityMatrix.pure(psi, reg), n, reference_labels(n))
-    u0, u1 = unitary[:, :dim // 2], unitary[:, dim // 2:]
-    g01 = u0 @ u1.conj().T
-    rho = np.block([[u0 @ u0.conj().T, g01],
-                    [g01.conj().T, u1 @ u1.conj().T]]) / dim
-    reg = QubitRegister(("r1",) + sys)
-    return ChoiState(DensityMatrix(rho, reg), n, ("r1",))
+    return ChoiState(unitary, reference_labels(n) if full_reference
+                     else ("r1",))
 
 
 @dataclass
@@ -149,15 +202,14 @@ def tripartite_mutual_information(choi: ChoiState,
     entropy N - |A| of the other, maximally mixed, references.  That term
     is then set, not computed.
     """
-    dm = choi.state
     a, c, d = partition.region_a, partition.region_c, partition.region_d
-    i_ac = mutual_information(dm, a, c)
-    i_ad = mutual_information(dm, a, d)
+    i_ac = mutual_information(choi.marginal(a + c), a, c)
+    i_ad = mutual_information(choi.marginal(a + d), a, d)
     if (set(c + d) == set(system_labels(choi.n_qubits))
             and set(a) <= set(choi.referenced)):
         i_acd = 2.0 * len(a)
     else:
-        i_acd = mutual_information(dm, a, c + d)
+        i_acd = mutual_information(choi.marginal(a + c + d), a, c + d)
     return TmiResult(i_acd - i_ac - i_ad, i_ac, i_ad, i_acd)
 
 

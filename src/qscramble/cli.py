@@ -15,12 +15,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .channels import PartitionSpec, haar_scrambled_baseline
 from .experiments import (BackflowResult, ExperimentConfig,
-                          ScramblingReport, backflow_integral,
-                          run_clifford_scan, run_scan, size_sweep)
+                          ScramblingReport, backflow_integral, run_scan,
+                          size_sweep)
 
 
 def _add_scan_args(sub: argparse.ArgumentParser, model_choices) -> None:
@@ -97,7 +98,8 @@ def cmd_scan(args) -> int:
 def cmd_clifford(args) -> int:
     config = _config_from_args(args, defaults=dict(model="clifford", n=3,
                                                    points=25))
-    report = run_clifford_scan(config)
+    report = run_scan(replace(config, model="clifford"),
+                      progress=_progress(args.quiet))
     _emit_report(report, args)
     return 0
 

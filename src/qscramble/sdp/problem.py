@@ -179,8 +179,12 @@ class SteeringWeightProblem:
             for a, m in enumerate(row):
                 if m.shape != (self.dim, self.dim):
                     raise ValueError(f"member ({a}|{x}) has shape {m.shape}")
-                if not np.allclose(m, m.conj().T, atol=1e-8):
-                    raise ValueError(f"member ({a}|{x}) is not Hermitian")
+        flat = self.flat
+        skew = ~np.isclose(flat, flat.conj().transpose(0, 2, 1),
+                           atol=1e-8).all(axis=(1, 2))
+        if skew.any():
+            x, a = divmod(int(np.argmax(skew)), self.n_outcomes)
+            raise ValueError(f"member ({a}|{x}) is not Hermitian")
         lam_min = self.eigenvalues[:, 0].reshape(self.n_settings,
                                                  self.n_outcomes)
         for x, row in enumerate(self.members):
@@ -193,14 +197,11 @@ class SteeringWeightProblem:
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(
                     f"setting {x}: member traces sum to {total}, expected 1")
-        marg = None
-        for row in self.members:
-            s = sum(row)
-            if marg is None:
-                marg = s
-            elif not np.allclose(s, marg, atol=1e-7):
-                raise ValueError("assemblage violates no-signaling: "
-                                 "setting marginals differ")
+        marginals = flat.reshape(self.n_settings, self.n_outcomes, self.dim,
+                                 self.dim).sum(axis=1)
+        if not np.isclose(marginals[1:], marginals[0], atol=1e-7).all():
+            raise ValueError("assemblage violates no-signaling: "
+                             "setting marginals differ")
 
     # -- facial reduction -------------------------------------------------
     def reduce(self):

@@ -11,7 +11,8 @@ That assemblage is the Born rule on the unitary's Choi state: with r1
 the reference of q1, the r1 blocks of the marginal rho_{r1 R} are
 tr_rest(U_a U_b^dag) / 2^N, and sigma_{a|x} = sum_ab E_{a|x}[a, b] rho_ab
 (the Choi state and the pseudo-density matrix are one object).  So both
-witnesses of a grid point are read off one :class:`channels.ChoiState`.
+witnesses of a grid point are read off the marginals of one
+:class:`channels.ChoiState`, each formed once, straight from U.
 
 The steerable weight TSW of that assemblage measures how much of the
 measurement information remains recoverable from the region.  The
@@ -35,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qla import ComplexMatrix, partial_trace
+from .qla import ComplexMatrix
 from .channels import ChoiState, system_labels
 from .models import haar_random_unitary, pauli_matrix
 from .sdp import solve_steering_weight
@@ -65,6 +66,9 @@ class MeasurementSet:
     @classmethod
     def pauli(cls, axes: str = "xyz") -> "MeasurementSet":
         """Projective +/- measurements along the named Pauli axes."""
+        if not isinstance(axes, str):
+            raise ValueError("measurements must be a string of Pauli axes, "
+                             f"got {axes!r}")
         if not axes:
             raise ValueError("measurements must name at least one Pauli "
                              f"axis, got {axes!r}")
@@ -135,11 +139,13 @@ def temporal_assemblage(choi: ChoiState, measurements: MeasurementSet,
 
         sigma_{a|x} = sum_ab E_{a|x}[a, b] rho_ab .
 
-    ``region=None`` keeps every system qubit.
+    The marginal is :meth:`ChoiState.marginal`, formed from U and shared
+    with the tripartite information of the same state; the dense Choi
+    state is never built.  ``region=None`` keeps every system qubit.
     """
     region = (system_labels(choi.n_qubits) if region is None
               else tuple(region))
-    rho = partial_trace(choi.state, ("r1",) + region).matrix
+    rho = choi.marginal(("r1",) + region).matrix
     dim = rho.shape[0] // 2
     blocks = rho.reshape(2, dim, 2, dim)
     members = [[np.einsum("ab,aibj->ij", np.asarray(e, dtype=complex), blocks)

@@ -273,16 +273,22 @@ def check_haar_moment(quick: bool) -> str:
 
 def check_choi_consistency(quick: bool) -> str:
     rng = _rng(18)
-    u = haar_random_unitary(4, rng)
-    reduced = build_choi(u).state
+    u = haar_random_unitary(8, rng)
+    choi = build_choi(u)
+    reduced = choi.state
     full = build_choi(u, full_reference=True).state
-    traced = partial_trace(full, ("r1", "q1", "q2"))
+    traced = partial_trace(full, ("r1", "q1", "q2", "q3"))
     _ok(np.allclose(reduced.matrix, traced.matrix, atol=1e-12),
         "reduced Choi != traced full Choi")
     _ok(abs(np.trace(reduced.matrix) - 1.0) < 1e-12, "Choi trace")
     vals = np.linalg.eigvalsh(reduced.matrix)
     _ok(vals.min() > -1e-12, "Choi positivity")
-    return "reduced = traced full, PSD, unit trace"
+    # the scan's route: each region's marginal formed from U, never the state
+    for keep in (("r1", "q1"), ("q3", "r1", "q2")):
+        _ok(np.allclose(choi.marginal(keep).matrix,
+                        partial_trace(full, keep).matrix, atol=1e-12),
+            f"marginal on {keep} != traced full Choi")
+    return "reduced = traced full, PSD, unit trace; marginals from U agree"
 
 
 def check_tmi_values(quick: bool) -> str:

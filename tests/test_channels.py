@@ -119,8 +119,35 @@ def test_tmi_partition_missing_a_qubit_is_computed(rng):
     choi = build_choi(haar_random_unitary(8, rng))
     part = PartitionSpec(("r1",), ("q1",), ("q3",))
     tmi = tripartite_mutual_information(choi, part)
-    assert tmi.i_acd == _computed_i_acd(choi, part)
+    assert tmi.i_acd == mutual_information(choi.marginal(("r1", "q1", "q3")),
+                                           ("r1",), ("q1", "q3"))
+    assert tmi.i_acd == pytest.approx(_computed_i_acd(choi, part), abs=1e-12)
     assert tmi.i_acd < 2.0 - 1e-3
+
+
+@pytest.mark.parametrize("full_reference", [False, True])
+def test_marginal_matches_dense_partial_trace(rng, full_reference):
+    u = haar_random_unitary(16, rng)
+    choi = build_choi(u, full_reference=full_reference)
+    keeps = [("r1", "q1"), ("q3", "r1"), ("r1", "q2", "q4"),
+             ("q4", "q1", "r1", "q2"), ("q2",),
+             choi.register.labels, choi.register.labels[::-1]]
+    if full_reference:
+        keeps += [("r2", "q1", "r1"), ("r3", "q3"), ("r4", "r2", "q2", "q4")]
+    for keep in keeps:
+        got = choi.marginal(keep)
+        assert got.register.labels == keep
+        np.testing.assert_allclose(got.matrix,
+                                   partial_trace(choi.state, keep).matrix,
+                                   rtol=0, atol=1e-13)
+        assert choi.marginal(keep) is got  # formed once per state
+
+
+def test_marginal_rejects_labels_outside_the_register(rng):
+    choi = build_choi(haar_random_unitary(8, rng))
+    for keep in (("r2", "q1"), ("r1", "q4"), ("q1", "q1"), ()):
+        with pytest.raises(ValueError):
+            choi.marginal(keep)
 
 
 def test_choi_rejects_non_qubit_operator():

@@ -69,6 +69,15 @@ def test_clifford_and_backflow_pipeline(tmp_path, capsys):
     assert data[1]["units"] == "unitless"
 
 
+def test_clifford_reports_progress(monkeypatch):
+    ticks = []
+    monkeypatch.setattr(cli, "_progress",
+                        lambda quiet: lambda done, total:
+                        ticks.append((done, total)))
+    assert cli.main(["clifford", "--points", "3", "--quiet"]) == 0
+    assert ticks == [(1, 3), (2, 3), (3, 3)]
+
+
 def test_backflow_rejects_malformed_csv(tmp_path, capsys):
     rows = [ScanRow(t, 0.1 * t, 0.2 * t, 1.0, 1.0, 0.5, 0.5, 0.9, "ok")
             for t in (0.0, 1.0, 2.0, 3.0)]
@@ -198,6 +207,11 @@ def test_unusable_tolerance_or_job_count_is_a_clean_error(capsys, tmp_path):
     rc = cli.main(base + ["--config", str(config)])
     assert rc == 2
     assert ("error: measurements must name at least one Pauli axis, got ''"
+            in capsys.readouterr().err)
+    config.write_text(json.dumps({"measurements": 3}))
+    rc = cli.main(base + ["--config", str(config)])
+    assert rc == 2
+    assert ("error: measurements must be a string of Pauli axes, got 3"
             in capsys.readouterr().err)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import tmi_report
+from qscramble.channels import ChoiState
 from qscramble.experiments import (CSV_HEADER, ExperimentConfig,
                                    ScanRow, ScramblingReport,
                                    backflow_integral, load_unitary_file,
@@ -43,6 +44,9 @@ def test_config_validation():
         ExperimentConfig(measurements="")
     with pytest.raises(ValueError, match="unknown Pauli axis"):
         ExperimentConfig(measurements="xq")
+    for bad in (3, None, ["x", "z"]):
+        with pytest.raises(ValueError, match="must be a string of Pauli axes"):
+            ExperimentConfig(measurements=bad)
 
 
 def test_config_partition_defaults():
@@ -224,6 +228,18 @@ def test_clifford_scan_reports_progress_and_honours_jobs():
     par = run_scan(ExperimentConfig(**{**cfg.to_dict(), "jobs": 2}))
     assert par.to_csv() == seq.to_csv()
     assert run_clifford_scan(points=5).to_csv() == seq.to_csv()
+
+
+@pytest.mark.parametrize("model, n", [("ising", 5), ("syk", 6)])
+def test_scan_never_forms_the_dense_choi_state(monkeypatch, model, n):
+    def dense(self):
+        raise AssertionError("dense Choi state formed")
+    monkeypatch.setattr(ChoiState, "state", property(dense))
+    report = run_scan(ExperimentConfig(model=model, n=n, points=3,
+                                       t_max=4.0))
+    # _witness_row turns exceptions into "failed: ..." rows, not raises
+    assert len(report.rows) == 3
+    assert not [r.status for r in report.rows if r.status.startswith("failed")]
 
 
 def test_clifford_scan_grid():

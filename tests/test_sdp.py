@@ -102,6 +102,14 @@ def test_validation_rejects_malformed_assemblages():
     with pytest.raises(ValueError):
         solve_steering_weight(bad)
     bad = [[m.copy() for m in row] for row in good]
+    bad[1][1] = bad[1][1] + 0.2j * np.eye(2)  # only (1|1) is not Hermitian
+    with pytest.raises(ValueError, match=r"member \(1\|1\) is not Hermitian"):
+        solve_steering_weight(bad)
+    bad = [[m.copy() for m in row] for row in good]
+    bad[1] = [m + 0.1 * PZ for m in bad[1]]  # traces kept, marginal moved
+    with pytest.raises(ValueError, match="violates no-signaling"):
+        solve_steering_weight(bad)
+    bad = [[m.copy() for m in row] for row in good]
     bad[0][0] = bad[0][0] - 0.5 * np.eye(2)  # negative eigenvalue
     with pytest.raises(ValueError):
         solve_steering_weight(bad)
