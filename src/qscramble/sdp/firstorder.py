@@ -5,8 +5,9 @@ Schur complement, no scaling): one proximal step projects onto the
 affine constraints sum_lam D_lam(a|x) sigma_lam + G_{a|x} = sigma_{a|x}
 while paying the linear objective, the other projects every block onto
 the PSD cone.  It shares nothing with the interior-point path beyond the
-strategy enumeration, which makes it a genuine second route for tests;
-it is also much slower, so it stays a test oracle.
+strategy enumeration and the Cholesky helpers that factor its Gram
+matrix, which makes it a genuine second route for tests; it is also
+much slower, so it stays a test oracle.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ._kernels import smat, svec
+from .ipm import cho_factor, cho_solve
 from .strategies import enumerate_strategies
 
 
@@ -66,14 +67,14 @@ def first_order_steering_weight(members, tol: float = 1e-10,
             a_mat[r:r + rows_per, slack * blk:(slack + 1) * blk] = eye_blk
             b_vec[r:r + rows_per] = svec(members[x][a])
             r += rows_per
-    gram = cho_factor(a_mat @ a_mat.T, check_finite=False)
+    gram = cho_factor(a_mat @ a_mat.T)
 
     c_vec = np.zeros(ntot)
     for s_i in range(n_strat):
         c_vec[s_i * blk:(s_i + 1) * blk] = -svec(np.eye(d))
 
     def proj_affine(u):
-        return u - a_mat.T @ cho_solve(gram, a_mat @ u - b_vec, check_finite=False)
+        return u - a_mat.T @ cho_solve(gram, a_mat @ u - b_vec)
 
     def proj_cone(u):
         # every block at once: one batched eigh per iteration

@@ -22,6 +22,12 @@ the Cholesky factors, the NT-scaling SVDs, the corrector's scaled-frame
 products, the step lengths and the backtracking PSD check each run once
 per stack through NumPy's broadcasting ``linalg``.  The linear maps and
 the Schur assembly see the same blocks as a per-block list of views.
+
+The Schur system is solved with NumPy alone: :func:`cho_factor` is one
+LAPACK Cholesky factorization plus the inverses of the factor's 32-row
+diagonal blocks, and :func:`cho_solve` is blocked forward and back
+substitution made of matrix-vector products.  A factorization that
+fails is retried once on the Schur matrix with a small diagonal shift.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ._kernels import congruence_rep, smat, svec
 
@@ -39,6 +44,7 @@ DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 _STEP_FRACTION = 0.98
 _BACKTRACK_ROUNDS = 40
+_SOLVE_BLOCK = 32
 
 
 class NumericalFailure(RuntimeError):
@@ -74,6 +80,50 @@ def _herm(x: np.ndarray) -> np.ndarray:
 
 def _inner(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> float:
     return float(sum(np.vdot(a, b).real for a, b in zip(xs, ys)))
+
+
+def _row_blocks(p: int) -> List[Tuple[int, int]]:
+    """Row ranges of the substitution blocks of a p x p factor."""
+    return [(i, min(p, i + _SOLVE_BLOCK)) for i in range(0, p, _SOLVE_BLOCK)]
+
+
+def cho_factor(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor of a symmetric positive definite matrix, for
+    :func:`cho_solve`.
+
+    Returns the lower factor L of ``mat = L L^T`` and the inverses of its
+    diagonal blocks of ``_SOLVE_BLOCK`` rows, the last one padded with the
+    identity.  Reading ``mat`` through its transpose hands LAPACK a
+    column-major view of the same symmetric matrix, so NumPy skips a
+    strided copy.  Raises ``np.linalg.LinAlgError`` when ``mat`` is not
+    positive definite.
+    """
+    low = np.linalg.cholesky(mat.T)
+    cuts = _row_blocks(low.shape[0])
+    diag = np.tile(np.eye(_SOLVE_BLOCK), (len(cuts), 1, 1))
+    for k, (i0, i1) in enumerate(cuts):
+        diag[k, :i1 - i0, :i1 - i0] = low[i0:i1, i0:i1]
+    return low, np.linalg.inv(diag)
+
+
+def cho_solve(factor: Tuple[np.ndarray, np.ndarray],
+              b: np.ndarray) -> np.ndarray:
+    """Solve ``L L^T x = b`` from a :func:`cho_factor` result.
+
+    Blocked forward and back substitution: each block of rows takes one
+    matrix-vector product with the panel already solved and one with its
+    diagonal block's inverse.
+    """
+    low, diag_inv = factor
+    cuts = _row_blocks(low.shape[0])
+    y = np.array(b, dtype=float)
+    for k, (i0, i1) in enumerate(cuts):
+        y[i0:i1] = diag_inv[k, :i1 - i0, :i1 - i0] @ (
+            y[i0:i1] - low[i0:i1, :i0] @ y[:i0])
+    for k, (i0, i1) in reversed(list(enumerate(cuts))):
+        y[i0:i1] = diag_inv[k, :i1 - i0, :i1 - i0].T @ (
+            y[i0:i1] - low[i1:, i0:i1].T @ y[i1:])
+    return y
 
 
 def _chol_psd(mat: np.ndarray) -> np.ndarray:
@@ -294,12 +344,12 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
         w = [r @ _ct(r) for r in rw]
         schur = prob.build_schur(blocks.unstack(w))
         try:
-            factor = cho_factor(schur, lower=True, check_finite=False)
+            factor = cho_factor(schur)
         except np.linalg.LinAlgError:
             reg = max(1e-14, 1e-14 * float(np.trace(schur)) / prob.p)
             schur = schur + reg * np.eye(prob.p)
             try:
-                factor = cho_factor(schur, lower=True, check_finite=False)
+                factor = cho_factor(schur)
             except np.linalg.LinAlgError:
                 status = "NumericalFailure"
                 break
@@ -309,7 +359,7 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
         def newton(rc):
             rhs_mats = [rp[r] - m1 + m2 for r, (m1, m2)
                         in enumerate(zip(prob.aop(blocks.unstack(rc)), a_w_rd_w))]
-            dy_vec = cho_solve(factor, prob.svec_rows(rhs_mats), check_finite=False)
+            dy_vec = cho_solve(factor, prob.svec_rows(rhs_mats))
             dy = prob.smat_rows(dy_vec)
             adj = blocks.stack(prob.aadj(dy))
             dz = [r - a for r, a in zip(rd, adj)]

@@ -180,8 +180,13 @@ class SteeringWeightProblem:
                 if m.shape != (self.dim, self.dim):
                     raise ValueError(f"member ({a}|{x}) has shape {m.shape}")
         flat = self.flat
-        skew = ~np.isclose(flat, flat.conj().transpose(0, 2, 1),
-                           atol=1e-8).all(axis=(1, 2))
+        bad = ~np.isfinite(flat).all(axis=(1, 2))
+        if bad.any():
+            x, a = divmod(int(np.argmax(bad)), self.n_outcomes)
+            raise ValueError(f"member ({a}|{x}) has a non-finite entry")
+        adj = flat.conj().transpose(0, 2, 1)
+        skew = ~(np.abs(flat - adj)
+                 <= 1e-8 + 1e-5 * np.abs(adj)).all(axis=(1, 2))
         if skew.any():
             x, a = divmod(int(np.argmax(skew)), self.n_outcomes)
             raise ValueError(f"member ({a}|{x}) is not Hermitian")

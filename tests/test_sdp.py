@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +119,12 @@ def test_validation_rejects_malformed_assemblages():
     bad = [[2.0 * m for m in row] for row in good]  # traces sum to 2
     with pytest.raises(ValueError):
         solve_steering_weight(bad)
+    for value, entry in ((np.nan, (0, 1)), (np.inf, (0, 0))):
+        bad = [[m.copy() for m in row] for row in good]
+        bad[1][0][entry] = value  # one non-finite entry in (0|1)
+        with pytest.raises(ValueError,
+                           match=r"member \(0\|1\) has a non-finite entry"):
+            solve_steering_weight(bad)
 
 
 def test_strategy_enumeration():
@@ -284,6 +293,85 @@ def test_backtracking_exhaustion_keeps_last_accepted_iterate(monkeypatch):
         np.testing.assert_array_equal(got, want)
     for got, want in zip(res.y, reference.y):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [1, 31, 32, 33, 96, 100])
+def test_cholesky_solve_matches_dense_solve(rng, p):
+    # sizes around the 32-row substitution block, and the Schur sizes of
+    # the small scans
+    a = rng.standard_normal((p, p))
+    mat = a @ a.T + p * np.eye(p)
+    b = rng.standard_normal(p)
+    x = ipm.cho_solve(ipm.cho_factor(mat), b)
+    ref = np.linalg.solve(mat, b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_cholesky_rejects_indefinite_matrix(rng):
+    a = rng.standard_normal((40, 40))
+    mat = a @ a.T + np.eye(40)
+    mat[35, 35] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        ipm.cho_factor(mat)
+
+
+def _failing_cho_factor(monkeypatch, failures):
+    """Make the first ``failures`` Schur factorizations raise."""
+    real = ipm.cho_factor
+    calls = [0]
+
+    def flaky(mat):
+        calls[0] += 1
+        if calls[0] <= failures:
+            raise np.linalg.LinAlgError("injected")
+        return real(mat)
+
+    monkeypatch.setattr(ipm, "cho_factor", flaky)
+    return calls
+
+
+def test_schur_factorization_retries_regularised(monkeypatch):
+    members = isotropic_assemblage(0.8, [PX, PY, PZ])
+    reference = solve_steering_weight(members)
+    assert reference.status == "Optimal" and reference.iterations > 0
+    calls = _failing_cho_factor(monkeypatch, 1)
+    sol = solve_steering_weight(members)
+    assert calls[0] > 1
+    assert sol.status == "Optimal"
+    assert sol.steerable_weight == pytest.approx(reference.steerable_weight,
+                                                 abs=1e-7)
+
+
+def test_schur_factorization_failing_twice_is_a_numerical_failure(
+        monkeypatch):
+    calls = _failing_cho_factor(monkeypatch, 2)
+    sol = solve_steering_weight(isotropic_assemblage(0.8, [PX, PY, PZ]))
+    assert calls[0] == 2
+    assert sol.status == "NumericalFailure"
+
+
+def test_solvers_never_import_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import qscramble",
+        "from qscramble.sdp import first_order_steering_weight, "
+        "solve_steering_weight",
+        "eta = 0.8",
+        "pauli = [np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]])]",
+        "members = [[(np.eye(2) + s * eta * p) / 4 for s in (1, -1)]",
+        "           for p in pauli]",
+        "assert solve_steering_weight(members).iterations > 0",
+        "assert first_order_steering_weight(members, tol=1e-6).converged",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _ising_region(n, t, region):
