@@ -33,6 +33,11 @@ search from the same least-norm model, with more rounds and toward the
 PSD cone itself, then scales the result to exact feasibility.
 :func:`solve_steering_weight` is the one entry point and takes every
 exit in that order.
+
+Members and certificates are (settings, outcomes, d, d) stacks and
+hidden states an (L, d, d) stack over the L strategies.  The 0/1
+selection matrix A[x * outcomes + a, lam] = D_lam(a|x) is the only record
+of which strategy answers which member.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import ipm
-from .strategies import enumerate_strategies, selection
+from .strategies import selection
 
 #: refuse interior-point solves whose dense Schur factor would not fit in
 #: memory; 64-dimensional members need ~4.8 GB, well past a small box
@@ -68,11 +73,13 @@ _STALL_ROUNDS = 400
 
 @dataclass
 class SdpSolution:
-    """Solver output in the original (unreduced) assemblage space."""
+    """Solver output in the original (unreduced) assemblage space: the
+    hidden states as a (strategies, d, d) array and the dual certificate
+    as a (settings, outcomes, d, d) array like the members."""
 
     mu_star: float
-    hidden_states: List[np.ndarray]
-    dual_certificate: Optional[List[List[np.ndarray]]]
+    hidden_states: np.ndarray
+    dual_certificate: Optional[np.ndarray]
     status: str
     gap: float
     iterations: int
@@ -86,14 +93,15 @@ class SdpSolution:
         return float(min(1.0, max(0.0, 1.0 - self.mu_star)))
 
 
-def _support_basis(mat: np.ndarray) -> Optional[np.ndarray]:
-    """Orthonormal basis of the numerical range of a PSD matrix.
+def _support_basis(evals: np.ndarray,
+                   evecs: np.ndarray) -> Optional[np.ndarray]:
+    """Orthonormal basis of the numerical range of a PSD matrix, from its
+    ascending eigenvalues and eigenvectors.
 
     Returns None when the matrix has full rank (identity embedding) and a
     (d, 0) array when it vanishes entirely.
     """
-    d = mat.shape[0]
-    evals, evecs = np.linalg.eigh(mat)
+    d = len(evals)
     top = evals[-1]
     if top <= DROP_TRACE:
         return np.zeros((d, 0), dtype=complex)
@@ -123,36 +131,42 @@ def _intersect(basis_a: Optional[np.ndarray], basis_b: Optional[np.ndarray],
     return np.ascontiguousarray(basis_a @ u[:, : int(keep.sum())])
 
 
+def _is_empty(basis: Optional[np.ndarray]) -> bool:
+    return basis is not None and basis.shape[1] == 0
+
+
 class SteeringWeightProblem:
     """Validated assemblage plus its deterministic-strategy structure.
 
-    The members are stacked setting-major once (``flat``) and their
-    eigenvalues computed once; validation, the exits and the large-region
-    bound all read them, and share one least-norm model.
+    ``members`` is one ``(settings, outcomes, d, d)`` array and ``flat``
+    its ``(settings * outcomes, d, d)`` view, whose member r = x * outcomes
+    + a is sigma_{a|x}; ``a_mat[r, lam]`` and its pseudoinverse ``pinv``
+    come from one :func:`selection` call.  The member eigenvalues are
+    computed once; validation, the exits and the large-region bound all
+    read them, and share one least-norm model.
 
     Parameters
     ----------
-    members : sequence over settings of sequences over outcomes
+    members : array_like of shape (settings, outcomes, d, d)
         Subnormalized states sigma_{a|x} as Hermitian PSD matrices whose
-        traces sum to one within each setting.
+        traces sum to one within each setting; nested lists are accepted.
     """
 
     def __init__(self, members, validate: bool = True):
-        self.members = [[np.asarray(m, dtype=complex) for m in row]
-                        for row in members]
-        self.n_settings = len(self.members)
-        if self.n_settings == 0:
-            raise ValueError("assemblage has no settings")
-        self.n_outcomes = len(self.members[0])
-        self.dim = self.members[0][0].shape[0]
+        try:
+            stack = np.asarray(members, dtype=complex)
+        except ValueError:
+            raise ValueError("ragged assemblage: outcome counts or member "
+                             "shapes differ") from None
+        if stack.ndim != 4 or not stack.size or stack.shape[2] != stack.shape[3]:
+            raise ValueError(f"assemblage of shape {stack.shape} is not a "
+                             "(settings, outcomes, d, d) stack, d >= 1")
+        self.members = stack
+        self.n_settings, self.n_outcomes, self.dim = stack.shape[:3]
+        self.flat = stack.reshape(-1, self.dim, self.dim)
         if validate:
             self._validate()
-        self.strategies = enumerate_strategies(self.n_settings, self.n_outcomes)
-
-    @cached_property
-    def flat(self) -> np.ndarray:
-        """Members stacked setting-major."""
-        return np.stack([m for row in self.members for m in row])
+        self.a_mat, self.pinv = selection(self.n_settings, self.n_outcomes)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -165,45 +179,40 @@ class SteeringWeightProblem:
         return float(self.eigenvalues[:, 0].min())
 
     @cached_property
-    def least_norm(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The selection map A, the least-norm model pinv @ members and
-        the null-space projector 1 - pinv A."""
-        a_mat, pinv = selection(self.n_settings, self.n_outcomes)
-        seed = _hermitian(np.einsum("lr,rij->lij", pinv, self.flat))
-        return a_mat, seed, np.eye(len(pinv)) - pinv @ a_mat
+    def least_norm(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The least-norm model pinv @ members and the null-space
+        projector 1 - pinv A."""
+        seed = _hermitian(np.einsum("lr,rij->lij", self.pinv, self.flat))
+        return seed, np.eye(len(self.pinv)) - self.pinv @ self.a_mat
+
+    def _member(self, r: int) -> str:
+        x, a = divmod(r, self.n_outcomes)
+        return f"member ({a}|{x})"
 
     def _validate(self):
-        for x, row in enumerate(self.members):
-            if len(row) != self.n_outcomes:
-                raise ValueError("ragged assemblage: outcome counts differ")
-            for a, m in enumerate(row):
-                if m.shape != (self.dim, self.dim):
-                    raise ValueError(f"member ({a}|{x}) has shape {m.shape}")
         flat = self.flat
         bad = ~np.isfinite(flat).all(axis=(1, 2))
         if bad.any():
-            x, a = divmod(int(np.argmax(bad)), self.n_outcomes)
-            raise ValueError(f"member ({a}|{x}) has a non-finite entry")
+            raise ValueError(f"{self._member(int(np.argmax(bad)))} has a "
+                             "non-finite entry")
         adj = flat.conj().transpose(0, 2, 1)
         skew = ~(np.abs(flat - adj)
                  <= 1e-8 + 1e-5 * np.abs(adj)).all(axis=(1, 2))
         if skew.any():
-            x, a = divmod(int(np.argmax(skew)), self.n_outcomes)
-            raise ValueError(f"member ({a}|{x}) is not Hermitian")
-        lam_min = self.eigenvalues[:, 0].reshape(self.n_settings,
-                                                 self.n_outcomes)
-        for x, row in enumerate(self.members):
-            total = 0.0
-            for a, m in enumerate(row):
-                if lam_min[x, a] < -1e-8:
-                    raise ValueError(f"member ({a}|{x}) has negative "
-                                     f"eigenvalue {lam_min[x, a]:.2e}")
-                total += float(np.trace(m).real)
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(
-                    f"setting {x}: member traces sum to {total}, expected 1")
-        marginals = flat.reshape(self.n_settings, self.n_outcomes, self.dim,
-                                 self.dim).sum(axis=1)
+            raise ValueError(f"{self._member(int(np.argmax(skew)))} is not "
+                             "Hermitian")
+        lam_min = self.eigenvalues[:, 0]
+        if (lam_min < -1e-8).any():
+            r = int(np.argmax(lam_min < -1e-8))
+            raise ValueError(f"{self._member(r)} has negative "
+                             f"eigenvalue {lam_min[r]:.2e}")
+        totals = np.trace(self.members, axis1=2, axis2=3).real.sum(axis=1)
+        off = np.abs(totals - 1.0) > 1e-6
+        if off.any():
+            x = int(np.argmax(off))
+            raise ValueError(f"setting {x}: member traces sum to "
+                             f"{totals[x]}, expected 1")
+        marginals = self.members.sum(axis=1)
         if not np.isclose(marginals[1:], marginals[0], atol=1e-7).all():
             raise ValueError("assemblage violates no-signaling: "
                              "setting marginals differ")
@@ -211,65 +220,56 @@ class SteeringWeightProblem:
     # -- facial reduction -------------------------------------------------
     def reduce(self):
         d = self.dim
-        pis: List[List[Optional[np.ndarray]]] = []
-        dropped: List[List[bool]] = []
-        for row in self.members:
-            pi_row, drop_row = [], []
-            for m in row:
-                basis = _support_basis(m)
-                pi_row.append(basis)
-                drop_row.append(basis is not None and basis.shape[1] == 0)
-            pis.append(pi_row)
-            dropped.append(drop_row)
-
+        pis = [_support_basis(w, v)
+               for w, v in zip(*np.linalg.eigh(self.flat))]
         q_bases: List[Optional[np.ndarray]] = []
-        eliminated: List[int] = []
-        for strat in self.strategies:
+        for column in self.a_mat.T:
             basis: Optional[np.ndarray] = None
-            for x in range(self.n_settings):
-                basis = _intersect(basis, pis[x][strat.outcomes[x]], d)
-                if basis is not None and basis.shape[1] == 0:
+            for r in np.flatnonzero(column):
+                basis = _intersect(basis, pis[r], d)
+                if _is_empty(basis):
                     break
-            if basis is not None and basis.shape[1] == 0:
-                eliminated.append(strat.index)
-                q_bases.append(np.zeros((d, 0), dtype=complex))
-            else:
-                q_bases.append(basis)
-        return _Reduction(self, pis, dropped, q_bases, tuple(eliminated))
+            q_bases.append(basis)
+        eliminated = tuple(lam for lam, q in enumerate(q_bases)
+                           if _is_empty(q))
+        return _Reduction(pis, q_bases, eliminated)
 
 
 @dataclass
 class _Reduction:
-    problem: SteeringWeightProblem
-    pis: List[List[Optional[np.ndarray]]]
-    dropped: List[List[bool]]
+    """Member supports ``pis`` and strategy supports ``q_bases`` (None is
+    the full space, a (d, 0) basis an eliminated block)."""
+
+    pis: List[Optional[np.ndarray]]
     q_bases: List[Optional[np.ndarray]]
     eliminated: Tuple[int, ...]
 
     @property
     def engaged(self) -> bool:
-        if self.eliminated:
-            return True
-        return any(p is not None for row in self.pis for p in row)
+        return bool(self.eliminated) or any(p is not None for p in self.pis)
 
-    def compressed_member(self, x: int, a: int) -> np.ndarray:
-        m = self.problem.members[x][a]
-        pi = self.pis[x][a]
-        return m if pi is None else pi.conj().T @ m @ pi
+
+def _embedding(pi: Optional[np.ndarray],
+               q: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Congruence from a strategy's reduced block into a member's; None
+    is the identity."""
+    if pi is None:
+        return q
+    return pi.conj().T if q is None else pi.conj().T @ q
 
 
 def solve_steering_weight(members,
                           gap_tol: float = ipm.DEFAULT_GAP_TOL) -> SdpSolution:
     """Steerable weight of an assemblage, by the first exit that settles it.
 
-    In order: the exact zero, facial reduction with the exact unit
-    weight (both ``iterations == 0``), the interior-point solve, and for
-    a reduced Schur system past the memory cap the certified bound of
-    :func:`_bound_weight` (status "Bounded"), which raises
-    :class:`ipm.NumericalFailure` when it cannot pin the weight.  Returns
-    an :class:`SdpSolution`; the weight itself is
-    ``solution.steerable_weight`` and the hidden-state decomposition and
-    dual certificate live in the original member space.
+    ``members`` is a ``(settings, outcomes, d, d)`` array or the same
+    nested as lists.  In order: the exact zero, facial reduction with the
+    exact unit weight (both ``iterations == 0``), the interior-point
+    solve, and for a reduced Schur system past the memory cap the
+    certified bound of :func:`_bound_weight` (status "Bounded"), which
+    raises :class:`ipm.NumericalFailure` when it cannot pin the weight.
+    Returns an :class:`SdpSolution`; the weight itself is
+    ``solution.steerable_weight``.
     """
     problem = SteeringWeightProblem(members)
     zero = _exact_zero_weight(problem)
@@ -277,84 +277,49 @@ def solve_steering_weight(members,
         return zero
     red = problem.reduce()
     d = problem.dim
-    survivors = [s for s in problem.strategies if s.index not in red.eliminated]
-
+    survivors = [lam for lam, q in enumerate(red.q_bases) if not _is_empty(q)]
     if not survivors:
         return _exact_unit_weight(problem, red)
 
-    schur_dim = 0
-    for x in range(problem.n_settings):
-        for a in range(problem.n_outcomes):
-            if red.dropped[x][a]:
-                continue
-            pi = red.pis[x][a]
-            s = d if pi is None else pi.shape[1]
-            schur_dim += s * s
+    kept = [r for r, pi in enumerate(red.pis) if not _is_empty(pi)]
+    con_sizes = [d if red.pis[r] is None else red.pis[r].shape[1]
+                 for r in kept]
+    schur_dim = sum(s * s for s in con_sizes)
     if schur_dim ** 2 * 8 > _SCHUR_BYTE_CAP:
         return _bound_weight(
             problem, f"Schur system {schur_dim}x{schur_dim} needs "
             f"~{schur_dim ** 2 * 8 / 1e9:.1f} GB; member dimension {d} is "
             "past the interior-point envelope")
 
-    # conic blocks: one per surviving strategy, then one slack per kept member
-    var_sizes, c_blocks = [], []
-    strat_pos = {}
-    for strat in survivors:
-        q = red.q_bases[strat.index]
-        r = d if q is None else q.shape[1]
-        strat_pos[strat.index] = len(var_sizes)
-        var_sizes.append(r)
-        c_blocks.append(-np.eye(r, dtype=complex))
-
-    con_sizes, b_blocks, rows, row_key = [], [], [], []
-    for x in range(problem.n_settings):
-        for a in range(problem.n_outcomes):
-            if red.dropped[x][a]:
-                continue
-            pi = red.pis[x][a]
-            s = d if pi is None else pi.shape[1]
-            entries = []
-            for strat in survivors:
-                if strat.outcomes[x] != a:
-                    continue
-                q = red.q_bases[strat.index]
-                if pi is None and q is None:
-                    a_map = None
-                elif pi is None:
-                    a_map = q
-                elif q is None:
-                    a_map = pi.conj().T
-                else:
-                    a_map = pi.conj().T @ q
-                entries.append((strat_pos[strat.index], a_map))
-            slack_idx = len(var_sizes)
-            var_sizes.append(s)
-            c_blocks.append(np.zeros((s, s), dtype=complex))
-            entries.append((slack_idx, None))
-            con_sizes.append(s)
-            b_blocks.append(red.compressed_member(x, a))
-            rows.append(entries)
-            row_key.append((x, a))
+    # conic blocks: one per surviving strategy, then one slack per kept
+    # member; row r reads sum_{lam selects r} sigma_lam + slack_r = sigma_r
+    strat_pos = {lam: pos for pos, lam in enumerate(survivors)}
+    var_sizes = [d if red.q_bases[lam] is None else red.q_bases[lam].shape[1]
+                 for lam in survivors]
+    c_blocks = [-np.eye(s, dtype=complex) for s in var_sizes]
+    b_blocks, rows = [], []
+    for r in kept:
+        pi, m = red.pis[r], problem.flat[r]
+        rows.append([(strat_pos[lam], _embedding(pi, red.q_bases[lam]))
+                     for lam in np.flatnonzero(problem.a_mat[r])
+                     if lam in strat_pos]
+                    + [(len(survivors) + len(b_blocks), None)])
+        b_blocks.append(m if pi is None else pi.conj().T @ m @ pi)
+    var_sizes += con_sizes
+    c_blocks += [np.zeros((s, s), dtype=complex) for s in con_sizes]
 
     res = ipm.solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
                           gap_tol=gap_tol)
 
-    mu = float(sum(np.trace(res.x[strat_pos[s.index]]).real for s in survivors))
-    hidden = []
-    for strat in problem.strategies:
-        if strat.index in red.eliminated:
-            hidden.append(np.zeros((d, d), dtype=complex))
-            continue
-        h = res.x[strat_pos[strat.index]]
-        q = red.q_bases[strat.index]
-        hidden.append(h.copy() if q is None else q @ h @ q.conj().T)
+    mu = float(sum(np.trace(h).real for h in res.x[:len(survivors)]))
+    hidden = np.zeros((len(red.q_bases), d, d), dtype=complex)
+    for lam, h in zip(survivors, res.x):
+        q = red.q_bases[lam]
+        hidden[lam] = h if q is None else q @ h @ q.conj().T
 
     # dual certificate: slack-block z is exactly PSD and approximates -y
-    f_tilde = {}
-    for pos, (x, a) in enumerate(row_key):
-        slack_idx = len(var_sizes) - len(row_key) + pos
-        f_tilde[(x, a)] = res.z[slack_idx]
-    certificate = _lift_certificate(problem, red, f_tilde)
+    certificate = _lift_certificate(
+        problem, red, dict(zip(kept, res.z[len(survivors):])))
     return SdpSolution(mu, hidden, certificate, res.status, res.gap,
                        res.iterations, res.pinf, res.dinf,
                        red.engaged, red.eliminated)
@@ -374,21 +339,20 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     is dual feasible with value sum_x tr(sum_a sigma_{a|x})/n_settings = 1,
     which proves mu* <= 1.  Returns None when no such model turns up.
     """
-    a_mat, seed, to_null = problem.least_norm
+    seed, to_null = problem.least_norm
     floor = problem.floor
     eps = 1e-3 * floor / len(seed)
     rounds = ZERO_EXIT_ROUNDS if floor > 0.0 else 0
     hidden, lam_min = _reflect(seed, to_null, eps, rounds, 0.0)
     if lam_min < 0.0:
         return None
-    resid = np.einsum("rl,lij->rij", a_mat, hidden) - problem.flat
+    resid = np.einsum("rl,lij->rij", problem.a_mat, hidden) - problem.flat
     if np.abs(resid).max() > ZERO_EXIT_RESIDUAL:
         return None
     mu = float(np.trace(hidden, axis1=1, axis2=2).real.sum())
     f = np.eye(problem.dim, dtype=complex) / problem.n_settings
-    certificate = [[f.copy() for _ in range(problem.n_outcomes)]
-                   for _ in range(problem.n_settings)]
-    return SdpSolution(mu, list(hidden), certificate, "Optimal", 0.0, 0)
+    certificate = np.tile(f, (problem.n_settings, problem.n_outcomes, 1, 1))
+    return SdpSolution(mu, hidden, certificate, "Optimal", 0.0, 0)
 
 
 def _bound_weight(problem: SteeringWeightProblem,
@@ -406,16 +370,16 @@ def _bound_weight(problem: SteeringWeightProblem,
     :class:`ipm.NumericalFailure` when 1 - m exceeds ``BOUND_TOL``.  The
     result depends on the members alone.
     """
-    a_mat, seed, to_null = problem.least_norm
+    seed, to_null = problem.least_norm
     floor = problem.floor
     target = max(0.25 * BOUND_TOL * max(floor, 0.0), 1e-13)
     hidden, _ = _reflect(seed, to_null, 0.0, MAX_ROUNDS, target)
-    mu, model = _certify(problem.flat, a_mat, hidden, floor)
+    mu, model = _certify(problem.flat, problem.a_mat, hidden, floor)
     if mu < 1.0 - BOUND_TOL:
         raise ipm.NumericalFailure(
             f"{refusal}, and a local model certifies only mass {mu:.9f}; "
             f"weight bound exceeds {BOUND_TOL:g}")
-    return SdpSolution(mu, list(model), None, "Bounded", 1.0 - mu, 0)
+    return SdpSolution(mu, model, None, "Bounded", 1.0 - mu, 0)
 
 
 def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
@@ -485,67 +449,48 @@ def _hermitian(stack: np.ndarray) -> np.ndarray:
 def _exact_unit_weight(problem: SteeringWeightProblem,
                        red: _Reduction) -> SdpSolution:
     """Every strategy eliminated: mu* = 0 and TSW = 1, exactly."""
-    d = problem.dim
-    hidden = [np.zeros((d, d), dtype=complex) for _ in problem.strategies]
+    hidden = np.zeros((len(red.q_bases), problem.dim, problem.dim),
+                      dtype=complex)
     certificate = _lift_certificate(problem, red, {})
     return SdpSolution(0.0, hidden, certificate, "Optimal", 0.0, 0,
                        reduced=True, eliminated=red.eliminated)
 
 
 def _lift_certificate(problem: SteeringWeightProblem, red: _Reduction,
-                      f_tilde) -> List[List[np.ndarray]]:
+                      f_tilde) -> np.ndarray:
     """Map reduced dual blocks back to d x d steering-inequality operators.
 
+    ``f_tilde`` maps flat member indices to reduced dual blocks.
     F_{a|x} = Pi F~ Pi^dag + kappa (1 - Pi Pi^dag); kappa grows until every
     strategy constraint sum_x F_{a(x)|x} >= 1 clears, which only involves
     the complement weight when the reduction eliminated strategies.
     """
-    d = problem.dim
-    base: List[List[np.ndarray]] = []
-    comp: List[List[np.ndarray]] = []
-    any_comp = False
-    for x in range(problem.n_settings):
-        row_b, row_c = [], []
-        for a in range(problem.n_outcomes):
-            pi = red.pis[x][a]
-            ft = f_tilde.get((x, a))
-            if pi is None:
-                row_b.append(np.asarray(ft) if ft is not None
-                             else np.zeros((d, d), dtype=complex))
-                row_c.append(None)
-            else:
-                lifted = np.zeros((d, d), dtype=complex)
-                if ft is not None and pi.shape[1] > 0:
-                    lifted = pi @ ft @ pi.conj().T
-                row_b.append(lifted)
-                row_c.append(np.eye(d) - pi @ pi.conj().T)
-                any_comp = True
-        base.append(row_b)
-        comp.append(row_c)
+    base = np.zeros_like(problem.flat)
+    for r, ft in f_tilde.items():
+        pi = red.pis[r]
+        base[r] = ft if pi is None else pi @ ft @ pi.conj().T
+    if not red.engaged:
+        return base.reshape(problem.members.shape)
+    comp = np.zeros_like(problem.flat)
+    for r, pi in enumerate(red.pis):
+        if pi is not None:
+            comp[r] = np.eye(problem.dim) - pi @ pi.conj().T
 
-    if not any_comp:
-        return base
-
-    scale = max((float(np.linalg.norm(f, 2)) for row in base for f in row
-                 if f.size), default=1.0)
+    scale = float(np.linalg.norm(base, 2, axis=(1, 2)).max())
     kappa = max(2.0, 2.0 * scale)
     while True:
-        cert = [[base[x][a] + (kappa * comp[x][a] if comp[x][a] is not None else 0)
-                 for a in range(problem.n_outcomes)]
-                for x in range(problem.n_settings)]
-        worst = _worst_strategy_margin(problem, cert)
+        cert = base + kappa * comp
+        worst = _worst_strategy_margin(problem.a_mat, cert)
         if worst >= 1e-9 or kappa > 1e6:
-            return cert
+            return cert.reshape(problem.members.shape)
         kappa *= 4.0
 
 
-def _worst_strategy_margin(problem: SteeringWeightProblem, cert) -> float:
-    worst = np.inf
-    eye = np.eye(problem.dim)
-    for strat in problem.strategies:
-        total = sum(cert[x][strat.outcomes[x]] for x in range(problem.n_settings))
-        worst = min(worst, float(np.linalg.eigvalsh(total - eye)[0]))
-    return worst
+def _worst_strategy_margin(a_mat: np.ndarray, cert: np.ndarray) -> float:
+    """Smallest eigenvalue of any sum_x F_{a(x)|x} - 1, over the
+    strategies; ``cert`` is stacked setting-major like the members."""
+    totals = np.einsum("rl,rij->lij", a_mat, cert) - np.eye(cert.shape[-1])
+    return float(np.linalg.eigvalsh(totals)[:, 0].min())
 
 
 def verify_certificate(problem, solution: SdpSolution,
@@ -556,24 +501,25 @@ def verify_certificate(problem, solution: SdpSolution,
     A valid certificate consists of PSD operators F_{a|x} with
     sum_x F_{a(x)|x} >= 1 for every deterministic strategy; then
     sum_ax tr(F_{a|x} sigma_{a|x}) is an upper bound on mu*, and matching
-    the reported mu* within ``obj_tol`` certifies the weight.
+    the reported mu* within ``obj_tol`` certifies the weight.  The
+    members and the certificate may each be an array or nested lists.
     """
     if not isinstance(problem, SteeringWeightProblem):
         problem = SteeringWeightProblem(problem, validate=False)
-    cert = solution.dual_certificate
-    if cert is None:
+    if solution.dual_certificate is None:
         return False
-    scale = max(1.0, max(float(np.linalg.norm(f, 2)) for row in cert for f in row))
-    for row in cert:
-        for f in row:
-            if not np.allclose(f, f.conj().T, atol=1e-8 * scale):
-                return False
-            if float(np.linalg.eigvalsh(0.5 * (f + f.conj().T))[0]) \
-                    < -psd_tol * scale:
-                return False
-    if _worst_strategy_margin(problem, cert) < -strategy_tol * scale:
+    cert = np.asarray(solution.dual_certificate, dtype=complex)
+    if cert.shape != problem.members.shape:
         return False
-    value = sum(float(np.trace(cert[x][a] @ problem.members[x][a]).real)
-                for x in range(problem.n_settings)
-                for a in range(problem.n_outcomes))
+    cert = cert.reshape(problem.flat.shape)
+    scale = max(1.0, float(np.linalg.norm(cert, 2, axis=(1, 2)).max()))
+    if not np.allclose(cert, cert.conj().swapaxes(-1, -2),
+                       atol=1e-8 * scale):
+        return False
+    if float(np.linalg.eigvalsh(_hermitian(cert))[:, 0].min()) \
+            < -psd_tol * scale:
+        return False
+    if _worst_strategy_margin(problem.a_mat, cert) < -strategy_tol * scale:
+        return False
+    value = float(np.einsum("rij,rji->", cert, problem.flat).real)
     return abs(value - solution.mu_star) <= obj_tol

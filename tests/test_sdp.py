@@ -16,7 +16,7 @@ from qscramble.sdp import (NumericalFailure, SteeringWeightProblem,
                            solve_steering_weight, verify_certificate)
 from qscramble.sdp import _kernels, ipm
 from qscramble.sdp import problem as sdp_problem
-from qscramble.sdp.strategies import enumerate_strategies
+from qscramble.sdp.strategies import enumerate_strategies, selection
 from qscramble.steering import MeasurementSet, temporal_assemblage
 
 # steering a Bell pair through white noise of visibility eta and measuring
@@ -98,8 +98,12 @@ def test_validation_rejects_malformed_assemblages():
     good = isotropic_assemblage(0.5, [PX, PZ])
     bad = [row[:] for row in good]
     bad[0] = bad[0][:1]  # ragged
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ragged assemblage"):
         solve_steering_weight(bad)
+    with pytest.raises(ValueError, match=r"shape \(1, 0\) is not"):
+        solve_steering_weight([[]])  # one setting, no outcome
+    with pytest.raises(ValueError, match=r"shape \(4, 2, 2\) is not"):
+        solve_steering_weight(np.reshape(good, (4, 2, 2)))  # no outcome axis
     bad = [[m.copy() for m in row] for row in good]
     bad[0][0] = bad[0][0] + 0.2j * np.eye(2)  # not Hermitian
     with pytest.raises(ValueError):
@@ -125,6 +129,99 @@ def test_validation_rejects_malformed_assemblages():
         with pytest.raises(ValueError,
                            match=r"member \(0\|1\) has a non-finite entry"):
             solve_steering_weight(bad)
+
+
+def _malformed(kind):
+    bad = [[m.copy() for m in row]
+           for row in isotropic_assemblage(0.5, [PX, PZ])]
+    if kind == "trace":
+        bad[0][1] = 2.0 * bad[0][1]
+    elif kind == "hermitian":
+        bad[1][0] = bad[1][0] + 0.2j * PX
+    elif kind == "negative":
+        bad[0][0] = bad[0][0] - 0.5 * np.eye(2)
+    else:  # traces kept, marginal moved
+        bad[1] = [m + 0.1 * PZ for m in bad[1]]
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["trace", "hermitian", "negative",
+                                  "signalling"])
+def test_first_order_rejects_what_the_solver_rejects(kind):
+    with pytest.raises(ValueError) as ipm_err:
+        solve_steering_weight(_malformed(kind))
+    with pytest.raises(ValueError) as oracle_err:
+        first_order_steering_weight(_malformed(kind))
+    assert str(oracle_err.value) == str(ipm_err.value)
+
+
+@pytest.mark.parametrize("n_settings, n_outcomes",
+                         [(1, 4), (2, 3), (3, 2), (4, 2)])
+def test_selection_matches_strategy_enumeration(n_settings, n_outcomes):
+    a_mat, pinv = selection(n_settings, n_outcomes)
+    strategies = enumerate_strategies(n_settings, n_outcomes)
+    assert a_mat.shape == (n_settings * n_outcomes, len(strategies))
+    for strat in strategies:
+        for x in range(n_settings):
+            for a in range(n_outcomes):
+                assert a_mat[x * n_outcomes + a, strat.index] == \
+                    strat.selects(a, x)
+    np.testing.assert_allclose(a_mat @ pinv @ a_mat, a_mat, atol=1e-12)
+    np.testing.assert_allclose(pinv @ a_mat @ pinv, pinv, atol=1e-12)
+    for arr in (a_mat, pinv):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.5
+
+
+def test_strategy_margin_matches_per_strategy_loop(rng):
+    # the selection-matrix contraction sums the same operators as the
+    # per-strategy loop, in another order: tolerance set from float64
+    cert = _random_herm_stack(rng, 6, 3)
+    expected = min(
+        float(np.linalg.eigvalsh(sum(cert[x * 2 + s.outcomes[x]]
+                                     for x in range(3)) - np.eye(3))[0])
+        for s in enumerate_strategies(3, 2))
+    a_mat, _ = selection(3, 2)
+    got = sdp_problem._worst_strategy_margin(a_mat, cert)
+    assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _nested(stack):
+    return [[np.array(m) for m in row] for row in stack]
+
+
+@pytest.mark.parametrize("case, ipm_iterates", [
+    ("isotropic-xz", False), ("isotropic-xyz", True), ("mixed-rank", True),
+    ("unit-t0", False), ("ising-zero", False)])
+def test_list_and_array_members_agree(case, ipm_iterates):
+    # the zero exit (isotropic xz at eta = 0.5, Ising region D at t = 20),
+    # the unreduced and the partly reduced interior-point solve, and the
+    # eliminated unit weight of region C at t = 0
+    members = {
+        "isotropic-xz": lambda: isotropic_assemblage(0.5, [PX, PZ]),
+        "isotropic-xyz": lambda: isotropic_assemblage(0.8, [PX, PY, PZ]),
+        "mixed-rank": lambda: mixed_rank_assemblage(0.2),
+        "unit-t0": lambda: _ising_region(5, 0.0, ("q1", "q2")),
+        "ising-zero": lambda: _ising_region(5, 20.0, ("q3", "q4", "q5")),
+    }[case]()
+    stack = np.array(members)
+    from_list = solve_steering_weight(members)
+    from_array = solve_steering_weight(stack)
+    assert (from_list.iterations > 0) == ipm_iterates
+    assert from_list.steerable_weight == from_array.steerable_weight
+    assert from_list.mu_star == from_array.mu_star
+    assert from_array.hidden_states.shape[1:] == stack.shape[2:]
+    np.testing.assert_array_equal(from_list.hidden_states,
+                                  from_array.hidden_states)
+    assert from_array.dual_certificate.shape == stack.shape
+    np.testing.assert_array_equal(from_list.dual_certificate,
+                                  from_array.dual_certificate)
+    rebuilt = dataclasses.replace(
+        from_array, dual_certificate=_nested(from_array.dual_certificate))
+    for form in (members, stack):
+        assert verify_certificate(form, from_array)
+        assert verify_certificate(form, rebuilt)
 
 
 def test_strategy_enumeration():
