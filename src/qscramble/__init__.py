@@ -16,7 +16,7 @@ from .models import (build_ising, build_syk, clifford_scan_unitary,
 from .channels import (ChoiState, PartitionSpec, PseudoDensityMatrix,
                        build_choi, build_pdm, haar_scrambled_baseline,
                        tripartite_mutual_information)
-from .steering import (Assemblage, MeasurementSet, WitnessRecord, minus_t3,
+from .steering import (MeasurementSet, WitnessRecord, minus_t3,
                        temporal_assemblage, total_steerable_weight)
 from .sdp import (first_order_steering_weight, solve_steering_weight,
                   verify_certificate)
@@ -35,7 +35,7 @@ __all__ = [
     "clifford_scrambler_unitary", "haar_random_unitary", "PauliString",
     "ChoiState", "PartitionSpec", "PseudoDensityMatrix", "build_choi",
     "build_pdm", "haar_scrambled_baseline", "tripartite_mutual_information",
-    "Assemblage", "MeasurementSet", "WitnessRecord",
+    "MeasurementSet", "WitnessRecord",
     "minus_t3", "temporal_assemblage", "total_steerable_weight",
     "first_order_steering_weight", "solve_steering_weight",
     "verify_certificate",

@@ -2,18 +2,17 @@
 
 A unitary channel on N qubits is turned into a state in two ways:
 
-* the Choi state: maximally entangled pairs between each input and a
-  reference, with the channel applied to the input half.  By default only
-  the first qubit keeps its reference (the witness never looks at the
-  others).  :class:`ChoiState` holds U itself: the witnesses need only
-  marginals, and each is one product formed straight from U, so a scan
-  never builds the 2^(N+1)-dimensional state.
+* the Choi state: maximally entangled pairs between each input and its
+  reference, with the channel applied to the input half, on register
+  ``r1..rN q1..qN``.  :class:`ChoiState` holds U itself: the witnesses
+  need only marginals, and each is one product formed straight from U,
+  so a scan never builds the 4^N-dimensional pure state.
 * the pseudo-density matrix (PDM): the two-time Pauli correlators of the
   channel packed into a Hermitian unit-trace matrix on input tensor
   output.  It is not positive; its negativity is exactly what temporal
-  steering probes.  The PDM equals the partial transpose of the
-  full-reference Choi state over the input block, and both constructions
-  are implemented so each can check the other.
+  steering probes.  The PDM equals the partial transpose of the Choi
+  state over the reference block, and both constructions are
+  implemented so each can check the other.
 
 The tripartite information of the channel is evaluated on the Choi state:
 with reference A and an output split C|D, scrambling shows up as
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -90,55 +89,38 @@ class PartitionSpec:
 class ChoiState:
     """Choi state of a unitary channel, formed from U on demand.
 
-    ``referenced`` names the input qubits that keep their reference: all
-    of them (register ``r1..rN q1..qN``) or q1 alone (``r1 q1..qN``, the
-    others traced out).  A scan only ever needs small marginals, so the
+    Every input qubit keeps its own reference: the register is
+    ``r1..rN q1..qN``.  A scan only ever needs small marginals, so the
     state is held as U and each :meth:`marginal` is formed from it
     directly; the dense matrix :attr:`state` is built only when asked for.
     """
 
-    def __init__(self, unitary: ComplexMatrix, referenced: Sequence[str]):
+    def __init__(self, unitary: ComplexMatrix):
         self.unitary = unitary
         self.n_qubits = unitary.shape[0].bit_length() - 1
-        self.referenced = tuple(referenced)
         self._marginals: Dict[Tuple[str, ...], DensityMatrix] = {}
 
     @property
-    def full_reference(self) -> bool:
-        return len(self.referenced) == self.n_qubits
-
-    @property
     def register(self) -> QubitRegister:
-        return QubitRegister(self.referenced + system_labels(self.n_qubits))
+        n = self.n_qubits
+        return QubitRegister(reference_labels(n) + system_labels(n))
 
     @cached_property
     def state(self) -> DensityMatrix:
         """The dense Choi state, built without the marginal route.
 
-        Full reference: the pure state of psi = (1 x U)|Omega>.  Reduced:
-        the r1 blocks ``U_a U_b^dag / 2^N`` with ``U_a`` the columns of U
-        whose q1 bit is a, that is ``U[:, :d/2]`` and ``U[:, d/2:]``.
+        The pure state of psi = (1 x U)|Omega>, |Omega> ~ sum_i |i>_R |i>_S.
         """
-        u, dim = self.unitary, self.unitary.shape[0]
-        if self.full_reference:
-            # |Omega> = 2^{-N/2} sum_i |i>_R |i>_S, then (1 x U).
-            return DensityMatrix.pure(u.T.ravel() / np.sqrt(dim),
-                                      self.register)
-        u0, u1 = u[:, :dim // 2], u[:, dim // 2:]
-        g01 = u0 @ u1.conj().T
-        rho = np.block([[u0 @ u0.conj().T, g01],
-                        [g01.conj().T, u1 @ u1.conj().T]]) / dim
-        return DensityMatrix(rho, self.register)
+        return DensityMatrix.pure(self.unitary.T.ravel(), self.register)
 
     def marginal(self, keep: Sequence[str]) -> DensityMatrix:
         """Reduced state on ``keep``, in that order, formed from U alone.
 
-        The full-reference Choi vector is psi[r, q] = U[q, r] / 2^(N/2), so
-        U viewed as a tensor with axes q1..qN r1..rN is psi up to that
-        scale.  With the kept axes moved to the front and the rest
-        flattened, it is a matrix M, and the marginal is M M^dag / 2^N.
-        Traced references of a reduced state are simply among the rest.
-        Each marginal is formed once per state and then cached.
+        The Choi vector is psi[r, q] = U[q, r] / 2^(N/2), so U viewed as a
+        tensor with axes q1..qN r1..rN is psi up to that scale.  With the
+        kept axes moved to the front and the rest flattened, it is a
+        matrix M, and the marginal is M M^dag / 2^N.  Each marginal is
+        formed once per state and then cached.
         """
         keep = tuple(keep)
         cached = self._marginals.get(keep)
@@ -159,23 +141,18 @@ class ChoiState:
         return cached
 
 
-def build_choi(unitary: ComplexMatrix, full_reference: bool = False) -> ChoiState:
-    """Choi state of the unitary channel.
+def build_choi(unitary: ComplexMatrix) -> ChoiState:
+    """Choi state of the unitary channel on register ``r1..rN q1..qN``.
 
-    With ``full_reference`` every input qubit is purified by its own
-    reference (register ``r1..rN q1..qN``, dimension 4^N); otherwise only
-    q1 keeps a reference and the remaining inputs enter maximally mixed
-    (register ``r1 q1..qN``, dimension 2^(N+1)).  The reduced form is the
-    full form with r2..rN traced out.  Neither is formed here: the state
-    keeps U, and its marginals cost one product each.
+    Each input qubit is purified by its own reference.  The state is not
+    formed here: it keeps U, and its marginals cost one product each.
     """
     unitary = np.asarray(unitary, dtype=complex)
     dim = unitary.shape[0]
     n = dim.bit_length() - 1
     if unitary.shape != (dim, dim) or 2 ** n != dim:
         raise ValueError(f"unitary shape {unitary.shape} is not a qubit operator")
-    return ChoiState(unitary, reference_labels(n) if full_reference
-                     else ("r1",))
+    return ChoiState(unitary)
 
 
 @dataclass
@@ -198,7 +175,7 @@ def tripartite_mutual_information(choi: ChoiState,
 
     When C and D together cover every output qubit and A holds only
     references, I(A:CD) = 2|A| bits for any unitary: S(A) = |A| and
-    S(CD) = N, and since the full-reference state is pure, S(ACD) is the
+    S(CD) = N, and since the Choi state is pure, S(ACD) is the
     entropy N - |A| of the other, maximally mixed, references.  That term
     is then set, not computed.
     """
@@ -206,7 +183,7 @@ def tripartite_mutual_information(choi: ChoiState,
     i_ac = mutual_information(choi.marginal(a + c), a, c)
     i_ad = mutual_information(choi.marginal(a + d), a, d)
     if (set(c + d) == set(system_labels(choi.n_qubits))
-            and set(a) <= set(choi.referenced)):
+            and set(a) <= set(reference_labels(choi.n_qubits))):
         i_acd = 2.0 * len(a)
     else:
         i_acd = mutual_information(choi.marginal(a + c + d), a, c + d)
@@ -247,7 +224,7 @@ def build_pdm(unitary: ComplexMatrix, method: str = "choi") -> PseudoDensityMatr
     """Pseudo-density matrix of a unitary channel, two independent routes.
 
     method="choi"
-        Partial transpose of the full-reference Choi state over the input
+        Partial transpose of the Choi state over the reference (input)
         block (cheap, one transpose).
     method="correlator"
         Direct Pauli-correlator assembly
@@ -264,8 +241,7 @@ def build_pdm(unitary: ComplexMatrix, method: str = "choi") -> PseudoDensityMatr
     if n > _PDM_MAX_QUBITS:
         raise ValueError(f"PDM limited to {_PDM_MAX_QUBITS} qubits (got {n})")
     if method == "choi":
-        choi = build_choi(unitary, full_reference=True)
-        pdm = partial_transpose(choi.state, reference_labels(n))
+        pdm = partial_transpose(build_choi(unitary).state, reference_labels(n))
         return PseudoDensityMatrix(pdm.matrix, n)
     if method == "correlator":
         paulis = np.stack([pauli_matrix(lab) for lab in pauli_basis_labels(n)])
@@ -277,29 +253,23 @@ def build_pdm(unitary: ComplexMatrix, method: str = "choi") -> PseudoDensityMatr
     raise ValueError(f"unknown method {method!r}")
 
 
-def assemblage_from_pdm(pdm: PseudoDensityMatrix, effects):
+def assemblage_from_pdm(pdm: PseudoDensityMatrix,
+                        effects: np.ndarray) -> np.ndarray:
     """Temporal assemblage from the PDM Born rule.
 
     sigma_{a|x} = tr_in[(E_{a|x} x 1_out) R] with the effect on input
-    qubit i1.  ``effects`` is a sequence over settings of sequences over
-    outcomes of single-qubit effect matrices.  Returns a steering
-    Assemblage on the full output register.
+    qubit i1.  ``effects`` is a ``(settings, outcomes, 2, 2)`` array;
+    returns the ``(settings, outcomes, 2^N, 2^N)`` members on the full
+    output register.
     """
-    from .steering import Assemblage  # circular at module level by design
-
-    n = pdm.n_qubits
-    out_labels = tuple(f"o{k}" for k in range(1, n + 1))
-    rest = np.eye(2 ** (2 * n - 1))
-    members: List[List[ComplexMatrix]] = []
-    for setting in effects:
-        row = []
-        for effect in setting:
-            op = kron(np.asarray(effect, dtype=complex), rest)
-            prod = DensityMatrix(op @ pdm.matrix, pdm.register)
-            # trace over the input block, keep outputs in order
-            row.append(partial_trace(prod, out_labels).matrix)
-        members.append(row)
-    return Assemblage(members=members, labels=system_labels(n))
+    effects = np.asarray(effects, dtype=complex)
+    out_labels = tuple(f"o{k}" for k in range(1, pdm.n_qubits + 1))
+    rest = np.eye(2 ** (2 * pdm.n_qubits - 1))
+    members = [partial_trace(DensityMatrix(kron(e, rest) @ pdm.matrix,
+                                           pdm.register), out_labels).matrix
+               for e in effects.reshape(-1, 2, 2)]
+    dim = 2 ** pdm.n_qubits
+    return np.reshape(members, effects.shape[:2] + (dim, dim))
 
 
 @dataclass

@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -52,6 +53,17 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not
+                                    isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not
+                                      isinstance(value, numbers.Real)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+        path = self.unitary_file
+        if not (path is None or isinstance(path, str)):
+            raise ValueError(f"unitary_file must be a path, got {path!r}")
         if self.model not in ("ising", "syk", "clifford", "unitary-file"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "unitary-file" and not self.unitary_file:
@@ -60,8 +72,6 @@ class ExperimentConfig:
             raise ValueError("points must be at least 2")
         if self.t_start < 0:
             raise ValueError("t_start must be nonnegative")
-        if self.t_max and self.t_max <= self.t_start:
-            raise ValueError("t_max must exceed t_start")
         if not (math.isfinite(self.sdp_gap_tol) and self.sdp_gap_tol > 0):
             raise ValueError("sdp_gap_tol must be a positive finite number, "
                              f"got {self.sdp_gap_tol}")
@@ -72,12 +82,21 @@ class ExperimentConfig:
         if not self.t_max and coupling and coupling[1] == 0:
             raise ValueError(f"model {self.model!r} with {coupling[0]} = 0 "
                              "has no default horizon; set t_max (--tmax)")
+        # a unitary file is one grid point, with no horizon of its own
+        if self.t_max or self.model != "unitary-file":
+            horizon = self.resolved_t_max()
+            if horizon <= self.t_start:
+                raise ValueError(f"t_max must exceed t_start, got t_start = "
+                                 f"{self.t_start} and t_max = {horizon}")
         self.measurement_set = MeasurementSet.pauli(self.measurements)
 
     @classmethod
     def from_json(cls, path: str, **overrides) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config must be a JSON object, "
+                             f"got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

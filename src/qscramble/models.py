@@ -228,19 +228,7 @@ def build_ising(n: int, g: float, h: float) -> HamiltonianSpec:
     return HamiltonianSpec("ising", n, terms, {"g": g, "h": h})
 
 
-@dataclass
-class MajoranaOperator:
-    """A single Majorana mode as a Pauli string on the encoding qubits."""
-
-    index: int
-    n_qubits: int
-    string: PauliString
-
-    def dense(self) -> ComplexMatrix:
-        return self.string.dense()
-
-
-def jordan_wigner_majorana(index: int, n_qubits: int) -> MajoranaOperator:
+def jordan_wigner_majorana(index: int, n_qubits: int) -> PauliString:
     """Majorana mode ``index`` (1-based, up to 2 * n_qubits) on qubits.
 
     chi_{2k-1} = (X_1 ... X_{k-1} Z_k) / sqrt(2)
@@ -253,8 +241,7 @@ def jordan_wigner_majorana(index: int, n_qubits: int) -> MajoranaOperator:
     k = (index + 1) // 2  # encoding qubit, 1-based
     letters = ["X"] * (k - 1) + ["Z" if index % 2 else "Y"]
     letters += ["I"] * (n_qubits - k)
-    string = PauliString.from_label("".join(letters), 1.0 / np.sqrt(2.0))
-    return MajoranaOperator(index, n_qubits, string)
+    return PauliString.from_label("".join(letters), 1.0 / np.sqrt(2.0))
 
 
 def build_syk(n_qubits: int, j_coupling: float = 1.0,
@@ -275,7 +262,7 @@ def build_syk(n_qubits: int, j_coupling: float = 1.0,
     quads = list(combinations(range(1, n_majorana + 1), 4))
     rng = np.random.Generator(np.random.PCG64(seed))
     couplings = rng.normal(0.0, np.sqrt(var), size=len(quads))
-    chis = [jordan_wigner_majorana(i, n_qubits).string
+    chis = [jordan_wigner_majorana(i, n_qubits)
             for i in range(1, n_majorana + 1)]
     terms: List[PauliString] = []
     for coupling, (i, j, k, l) in zip(couplings, quads):

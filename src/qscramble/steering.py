@@ -12,7 +12,10 @@ the reference of q1, the r1 blocks of the marginal rho_{r1 R} are
 tr_rest(U_a U_b^dag) / 2^N, and sigma_{a|x} = sum_ab E_{a|x}[a, b] rho_ab
 (the Choi state and the pseudo-density matrix are one object).  So both
 witnesses of a grid point are read off the marginals of one
-:class:`channels.ChoiState`, each formed once, straight from U.
+:class:`channels.ChoiState`, each formed once, straight from U.  The
+effects are one ``(settings, outcomes, 2, 2)`` array and the assemblage
+one ``(settings, outcomes, d, d)`` array, the form the steerable-weight
+solver takes.
 
 The steerable weight TSW of that assemblage measures how much of the
 measurement information remains recoverable from the region.  The
@@ -32,11 +35,10 @@ its Schur-memory cap, a certified upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qla import ComplexMatrix
 from .channels import ChoiState, system_labels
 from .models import haar_random_unitary, pauli_matrix
 from .sdp import solve_steering_weight
@@ -45,23 +47,46 @@ from .sdp.ipm import DEFAULT_GAP_TOL, NumericalFailure
 _PAULI_BY_AXIS = {"x": pauli_matrix("X"), "y": pauli_matrix("Y"),
                   "z": pauli_matrix("Z")}
 
+#: tolerance of the POVM checks on measurement effects
+_EFFECT_TOL = 1e-10
+
 
 @dataclass
 class MeasurementSet:
-    """Single-qubit measurement settings as lists of effect operators.
+    """Single-qubit measurement settings as one array of effects.
 
-    ``effects[x][a]`` is the effect of outcome a under setting x; each
-    setting must form a POVM.
+    ``effects[x, a]`` is the effect of outcome a under setting x, held as
+    one complex ``(settings, outcomes, 2, 2)`` array.  Each setting must
+    be a POVM: Hermitian, positive semidefinite effects that sum to the
+    identity.  A setting with fewer outcomes is padded with zero effects.
     """
 
     name: str
-    effects: List[List[ComplexMatrix]]
+    effects: np.ndarray
 
     def __post_init__(self):
-        for x, row in enumerate(self.effects):
-            total = sum(np.asarray(e, dtype=complex) for e in row)
-            if not np.allclose(total, np.eye(total.shape[0]), atol=1e-10):
+        try:
+            effects = np.array(self.effects, dtype=complex)
+        except ValueError as exc:
+            raise ValueError(f"measurement set {self.name!r} has ragged "
+                             "settings; pad them with zero effects") from exc
+        if (effects.ndim != 4 or effects.shape[2:] != (2, 2)
+                or not effects.size):
+            raise ValueError("effects must have shape (settings, outcomes, "
+                             f"2, 2), got {effects.shape}")
+        skew = np.abs(effects - effects.conj().swapaxes(-1, -2)).max()
+        if skew > _EFFECT_TOL:
+            raise ValueError(f"effects are not Hermitian (deviation "
+                             f"{skew:.2e})")
+        lowest = np.linalg.eigvalsh(effects)[..., 0]
+        x, a = np.unravel_index(np.argmin(lowest), lowest.shape)
+        if lowest[x, a] < -_EFFECT_TOL:
+            raise ValueError(f"effect ({a}|{x}) has negative eigenvalue "
+                             f"{lowest[x, a]:.2e}")
+        for x, total in enumerate(effects.sum(axis=1)):
+            if not np.allclose(total, np.eye(2), rtol=0, atol=_EFFECT_TOL):
                 raise ValueError(f"setting {x} effects do not sum to identity")
+        self.effects = effects
 
     @classmethod
     def pauli(cls, axes: str = "xyz") -> "MeasurementSet":
@@ -82,54 +107,15 @@ class MeasurementSet:
 
     @property
     def n_settings(self) -> int:
-        return len(self.effects)
+        return self.effects.shape[0]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects[0])
-
-
-@dataclass
-class Assemblage:
-    """Temporal assemblage sigma_{a|x} on a labeled qubit region."""
-
-    members: List[List[ComplexMatrix]]
-    labels: Tuple[str, ...]
-
-    def __post_init__(self):
-        self.labels = tuple(self.labels)
-
-    @property
-    def dim(self) -> int:
-        return self.members[0][0].shape[0]
-
-    @property
-    def n_settings(self) -> int:
-        return len(self.members)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.members[0])
-
-    def probabilities(self) -> np.ndarray:
-        """p(a|x) = tr sigma_{a|x} as an (settings, outcomes) array."""
-        return np.array([[float(np.trace(m).real) for m in row]
-                         for row in self.members])
-
-    def marginal(self) -> ComplexMatrix:
-        return sum(self.members[0])
-
-    def no_signaling_defect(self) -> float:
-        """Largest deviation between setting marginals (should be ~0)."""
-        marg = self.marginal()
-        worst = 0.0
-        for row in self.members[1:]:
-            worst = max(worst, float(np.max(np.abs(sum(row) - marg))))
-        return worst
+        return self.effects.shape[1]
 
 
 def temporal_assemblage(choi: ChoiState, measurements: MeasurementSet,
-                        region: Optional[Sequence[str]] = None) -> Assemblage:
+                        region: Optional[Sequence[str]] = None) -> np.ndarray:
     """Temporal assemblage on ``region``, read off the Choi state.
 
     The Choi marginal rho_{r1 R} has r1 blocks rho_ab = tr_rest(U_a U_b^dag)
@@ -142,15 +128,14 @@ def temporal_assemblage(choi: ChoiState, measurements: MeasurementSet,
     The marginal is :meth:`ChoiState.marginal`, formed from U and shared
     with the tripartite information of the same state; the dense Choi
     state is never built.  ``region=None`` keeps every system qubit.
+    Returns the members as one ``(settings, outcomes, d, d)`` array.
     """
     region = (system_labels(choi.n_qubits) if region is None
               else tuple(region))
     rho = choi.marginal(("r1",) + region).matrix
     dim = rho.shape[0] // 2
-    blocks = rho.reshape(2, dim, 2, dim)
-    members = [[np.einsum("ab,aibj->ij", np.asarray(e, dtype=complex), blocks)
-                for e in row] for row in measurements.effects]
-    return Assemblage(members, region)
+    return np.einsum("xoab,aibj->xoij", measurements.effects,
+                     rho.reshape(2, dim, 2, dim))
 
 
 _TSW_TOTAL_CACHE: Dict[Tuple[bytes, float], float] = {}
@@ -165,16 +150,15 @@ def total_steerable_weight(measurements: MeasurementSet,
     same unitary is a bijection of local models) and the maximally mixed
     unmeasured qubits factor out of every member.  Both identities hold
     exactly and are enforced by property tests, so the weight is solved
-    once per measurement set and cached.
+    once per measurement set and cached.  The cache key is the bytes of
+    the effects: all effects sum to S times the identity for S settings,
+    so two valid shapes never share them.
     """
-    stamp = b"".join(np.ascontiguousarray(e, dtype=complex).tobytes()
-                     for row in measurements.effects for e in row)
-    key = (stamp, gap_tol)
+    effects = measurements.effects
+    key = (effects.tobytes(), gap_tol)
     if key not in _TSW_TOTAL_CACHE:
-        members = [[np.asarray(e, dtype=complex) / 2.0 for e in row]
-                   for row in measurements.effects]
         _TSW_TOTAL_CACHE[key] = solve_steering_weight(
-            members, gap_tol=gap_tol).steerable_weight
+            effects / 2.0, gap_tol=gap_tol).steerable_weight
     return _TSW_TOTAL_CACHE[key]
 
 
@@ -220,9 +204,9 @@ def minus_t3(choi: ChoiState, region_c: Sequence[str],
     tsw_tot = total_steerable_weight(ms, gap_tol=gap_tol)
     parts = {}
     for name, region in (("C", region_c), ("D", region_d)):
-        asm = temporal_assemblage(choi, ms, region)
+        members = temporal_assemblage(choi, ms, region)
         try:
-            parts[name] = solve_steering_weight(asm.members, gap_tol=gap_tol)
+            parts[name] = solve_steering_weight(members, gap_tol=gap_tol)
         except NumericalFailure as exc:
             raise NumericalFailure(f"region {name}: {exc}") from exc
     c, d = parts["C"], parts["D"]
@@ -231,23 +215,22 @@ def minus_t3(choi: ChoiState, region_c: Sequence[str],
                          c.status, d.status, c.gap, d.gap)
 
 
-def tsw_unitary_invariance_check(assemblage: Assemblage, seeds=(0, 1, 2),
+def tsw_unitary_invariance_check(members, seeds=(0, 1, 2),
                                  gap_tol: float = DEFAULT_GAP_TOL) -> float:
     """Max |TSW(U sigma U^dag) - TSW(sigma)| over seeded random unitaries.
 
-    The exact invariance of the weight under global unitaries is a
-    theorem; this measures how well the solver honors it and should stay
-    within a few times the duality gap.
+    ``members`` is a ``(settings, outcomes, d, d)`` assemblage.  The exact
+    invariance of the weight under global unitaries is a theorem; this
+    measures how well the solver honors it and should stay within a few
+    times the duality gap.
     """
-    base = solve_steering_weight(assemblage.members,
-                                 gap_tol=gap_tol).steerable_weight
-    d = assemblage.dim
+    members = np.asarray(members, dtype=complex)
+    base = solve_steering_weight(members, gap_tol=gap_tol).steerable_weight
     worst = 0.0
     for seed in seeds:
         rng = np.random.Generator(np.random.PCG64(seed))
-        u = haar_random_unitary(d, rng)
-        rotated = [[u @ m @ u.conj().T for m in row] for row in assemblage.members]
-        w = solve_steering_weight(rotated, gap_tol=gap_tol).steerable_weight
+        u = haar_random_unitary(members.shape[-1], rng)
+        w = solve_steering_weight(u @ members @ u.conj().T,
+                                  gap_tol=gap_tol).steerable_weight
         worst = max(worst, abs(w - base))
     return worst
-

@@ -273,22 +273,17 @@ def check_haar_moment(quick: bool) -> str:
 
 def check_choi_consistency(quick: bool) -> str:
     rng = _rng(18)
-    u = haar_random_unitary(8, rng)
-    choi = build_choi(u)
-    reduced = choi.state
-    full = build_choi(u, full_reference=True).state
-    traced = partial_trace(full, ("r1", "q1", "q2", "q3"))
-    _ok(np.allclose(reduced.matrix, traced.matrix, atol=1e-12),
-        "reduced Choi != traced full Choi")
-    _ok(abs(np.trace(reduced.matrix) - 1.0) < 1e-12, "Choi trace")
-    vals = np.linalg.eigvalsh(reduced.matrix)
+    choi = build_choi(haar_random_unitary(8, rng))
+    full = choi.state
+    _ok(abs(np.trace(full.matrix) - 1.0) < 1e-12, "Choi trace")
+    vals = np.linalg.eigvalsh(full.matrix)
     _ok(vals.min() > -1e-12, "Choi positivity")
     # the scan's route: each region's marginal formed from U, never the state
-    for keep in (("r1", "q1"), ("q3", "r1", "q2")):
+    for keep in (("r1", "q1"), ("q3", "r1", "q2"), ("r1", "q1", "q2", "q3")):
         _ok(np.allclose(choi.marginal(keep).matrix,
                         partial_trace(full, keep).matrix, atol=1e-12),
-            f"marginal on {keep} != traced full Choi")
-    return "reduced = traced full, PSD, unit trace; marginals from U agree"
+            f"marginal on {keep} != traced Choi state")
+    return "PSD, unit trace; marginals from U = traced dense state"
 
 
 def check_tmi_values(quick: bool) -> str:
@@ -325,9 +320,7 @@ def check_pdm_routes(quick: bool) -> str:
     ms = MeasurementSet.pauli()
     via_pdm = assemblage_from_pdm(build_pdm(u), ms.effects)
     direct = temporal_assemblage(build_choi(u), ms)
-    worst = max(np.linalg.norm(x - y) for rx, ry in
-                zip(via_pdm.members, direct.members)
-                for x, y in zip(rx, ry))
+    worst = float(np.linalg.norm(via_pdm - direct, axis=(-2, -1)).max())
     _ok(worst < 1e-10, f"PDM Born rule vs operational: {worst}")
     return "spectrum, dual construction, Born rule"
 
@@ -339,13 +332,14 @@ def check_assemblage_sanity(quick: bool) -> str:
     ms = MeasurementSet.pauli()
     choi = build_choi(haar_random_unitary(8, rng))
     asm = temporal_assemblage(choi, ms)
-    _ok(asm.no_signaling_defect() < 1e-12, "no-signaling defect")
-    _ok(np.allclose(asm.marginal(), np.eye(8) / 8, atol=1e-12),
+    marg = asm.sum(axis=1)
+    _ok(np.abs(marg - marg[0]).max() < 1e-12, "no-signaling defect")
+    _ok(np.allclose(marg[0], np.eye(8) / 8, atol=1e-12),
         "marginal not maximally mixed")
-    _ok(np.allclose(asm.probabilities(), 0.5, atol=1e-12),
-        "outcome probabilities != 1/2")
-    red = temporal_assemblage(choi, ms, ("q2", "q3"))
-    _ok(red.no_signaling_defect() < 1e-12, "reduction breaks no-signaling")
+    probs = np.trace(asm, axis1=2, axis2=3).real
+    _ok(np.allclose(probs, 0.5, atol=1e-12), "outcome probabilities != 1/2")
+    red = temporal_assemblage(choi, ms, ("q2", "q3")).sum(axis=1)
+    _ok(np.abs(red - red[0]).max() < 1e-12, "reduction breaks no-signaling")
     return "marginals, probabilities, reductions"
 
 
@@ -353,10 +347,10 @@ def check_tsw_anchors(quick: bool) -> str:
     ms = MeasurementSet.pauli()
     choi = build_choi(np.eye(8))
     w_q1 = solve_steering_weight(
-        temporal_assemblage(choi, ms, ("q1",)).members).steerable_weight
+        temporal_assemblage(choi, ms, ("q1",))).steerable_weight
     _ok(w_q1 == 1.0, f"projective TSW {w_q1} != 1 exactly")
     sol = solve_steering_weight(
-        temporal_assemblage(choi, ms, ("q2", "q3")).members)
+        temporal_assemblage(choi, ms, ("q2", "q3")))
     w_rest = sol.steerable_weight
     _ok(w_rest <= 1e-12 and sol.iterations == 0,
         f"untouched region TSW {w_rest} after {sol.iterations} iterations")
@@ -384,23 +378,26 @@ def check_tsw_invariance(quick: bool) -> str:
     seeds = (0,) if quick else (0, 1)
     defect = tsw_unitary_invariance_check(asm, seeds=seeds)
     _ok(defect < WITNESS_TOL, f"unitary invariance defect {defect}")
-    base = solve_steering_weight(asm.members).steerable_weight
-    padded = [[np.kron(m, np.eye(2) / 2) for m in row] for row in asm.members]
-    w_pad = solve_steering_weight(padded).steerable_weight
+    base = solve_steering_weight(asm).steerable_weight
+    w_pad = solve_steering_weight(np.kron(asm, np.eye(2) / 2)).steerable_weight
     _ok(abs(w_pad - base) < WITNESS_TOL,
         f"ancilla invariance {w_pad} vs {base}")
     return "conjugation and ancilla transport"
 
 
+def _depolarized(members: np.ndarray, eta: float) -> np.ndarray:
+    """eta sigma_{a|x} + (1 - eta) tr(sigma_{a|x}) I / 2 on a qubit."""
+    traces = np.trace(members, axis1=2, axis2=3)[..., None, None]
+    return eta * members + (1 - eta) * traces * np.eye(2) / 2
+
+
 def check_mixing_convexity(quick: bool) -> str:
     ms = MeasurementSet.pauli()
     asm = temporal_assemblage(build_choi(np.eye(2)), ms)
-    base = solve_steering_weight(asm.members).steerable_weight
+    base = solve_steering_weight(asm).steerable_weight
     prev = base + 1e-9
     for eta in (0.8, 0.5, 0.2):
-        mixed = [[eta * m + (1 - eta) * np.trace(m) * np.eye(2) / 2
-                  for m in row] for row in asm.members]
-        w = solve_steering_weight(mixed).steerable_weight
+        w = solve_steering_weight(_depolarized(asm, eta)).steerable_weight
         _ok(w <= eta * base + WITNESS_TOL, f"convexity at eta={eta}")
         _ok(w <= prev + WITNESS_TOL, f"monotonicity at eta={eta}")
         prev = w
@@ -409,16 +406,13 @@ def check_mixing_convexity(quick: bool) -> str:
 
 def check_dual_certificates(quick: bool) -> str:
     ms = MeasurementSet.pauli()
-    eta = 0.75
-    asm = temporal_assemblage(build_choi(np.eye(2)), ms)
-    mixed = [[eta * m + (1 - eta) * np.trace(m) * np.eye(2) / 2
-              for m in row] for row in asm.members]
+    mixed = _depolarized(temporal_assemblage(build_choi(np.eye(2)), ms), 0.75)
     sol = solve_steering_weight(mixed)
     _ok(verify_certificate(mixed, sol), "noisy qubit certificate")
     asm_c = temporal_assemblage(build_choi(clifford_scrambler_unitary()), ms,
                                 ("q2", "q3"))
-    sol_c = solve_steering_weight(asm_c.members)
-    _ok(verify_certificate(asm_c.members, sol_c), "scrambler-region certificate")
+    sol_c = solve_steering_weight(asm_c)
+    _ok(verify_certificate(asm_c, sol_c), "scrambler-region certificate")
     return "independent dual recheck on two instances"
 
 
@@ -426,32 +420,29 @@ def check_exact_zero_exit(quick: bool) -> str:
     prop = Propagator(build_ising(5, 1.0, 0.5).matrix())
     asm = temporal_assemblage(build_choi(prop.unitary(20.0)),
                               MeasurementSet.pauli(), ("q3", "q4", "q5"))
-    sol = solve_steering_weight(asm.members)
+    sol = solve_steering_weight(asm)
     weight = sol.steerable_weight
     _ok(sol.status == "Optimal" and sol.iterations == 0,
         f"{sol.status} after {sol.iterations} iterations, not the exit")
-    _ok(verify_certificate(asm.members, sol), "I/n_settings certificate")
+    _ok(verify_certificate(asm, sol), "I/n_settings certificate")
     worst_psd = min(float(np.linalg.eigvalsh(h)[0]) for h in sol.hidden_states)
     _ok(worst_psd >= 0.0, f"hidden state eigenvalue {worst_psd}")
-    strategies = enumerate_strategies(asm.n_settings, asm.n_outcomes)
+    strategies = enumerate_strategies(*asm.shape[:2])
     resid = max(
         float(np.abs(sum(h for h, s in zip(sol.hidden_states, strategies)
                          if s.selects(a, x)) - m).max())
-        for x, row in enumerate(asm.members) for a, m in enumerate(row))
+        for x, row in enumerate(asm) for a, m in enumerate(row))
     _ok(resid <= 1e-12, f"equality residual {resid}")
-    res = first_order_steering_weight(asm.members, tol=1e-8)
+    res = first_order_steering_weight(asm, tol=1e-8)
     _ok(res.converged and abs(res.weight - weight) <= 1e-6,
         f"first-order {res.weight} vs exit {weight}")
-    return (f"d={asm.dim} weight {weight:.1e}, residual {resid:.1e}, "
+    return (f"d={asm.shape[-1]} weight {weight:.1e}, residual {resid:.1e}, "
             f"first-order {res.weight:.1e}")
 
 
 def check_first_order_agreement(quick: bool) -> str:
     ms = MeasurementSet.pauli()
-    eta = 0.8
-    asm = temporal_assemblage(build_choi(np.eye(2)), ms)
-    mixed = [[eta * m + (1 - eta) * np.trace(m) * np.eye(2) / 2
-              for m in row] for row in asm.members]
+    mixed = _depolarized(temporal_assemblage(build_choi(np.eye(2)), ms), 0.8)
     w_ipm = solve_steering_weight(mixed).steerable_weight
     res = first_order_steering_weight(mixed, tol=1e-10,
                                       max_iter=40000 if quick else 200000)
@@ -474,8 +465,8 @@ def check_determinism(quick: bool) -> str:
     rng = _rng(24)
     asm = temporal_assemblage(build_choi(haar_random_unitary(8, rng)),
                               MeasurementSet.pauli(), ("q1", "q2"))
-    w1 = solve_steering_weight(asm.members).steerable_weight
-    w2 = solve_steering_weight(asm.members).steerable_weight
+    w1 = solve_steering_weight(asm).steerable_weight
+    w2 = solve_steering_weight(asm).steerable_weight
     _ok(w1 == w2, f"repeat solve drifted: {w1} vs {w2}")
     return "bitwise repeatable solve"
 
@@ -492,7 +483,7 @@ def scaling_check(dim: int = SCALING_DIM,
     reduced = temporal_assemblage(build_choi(haar_random_unitary(2 ** n, rng)),
                                   MeasurementSet.pauli(), region)
     start = time.perf_counter()
-    sol = solve_steering_weight(reduced.members)
+    sol = solve_steering_weight(reduced)
     elapsed = time.perf_counter() - start
     if sol.status != "Optimal":
         raise CheckFailure(f"d={dim} solve ended {sol.status}")

@@ -88,10 +88,10 @@ def max_step(l_factor, delta):
 
 
 def choi_sandwich(unitary):
-    """Reduced Choi state as (1 x U) rho0 (1 x U)^dag on ``r1 q1..qN``.
+    """Choi marginal on ``r1 q1..qN`` as (1 x U) rho0 (1 x U)^dag.
 
-    Dense reference for ``build_choi``: rho0 is a Bell pair on r1 q1
-    times the maximally mixed state of q2..qN.
+    Dense reference for ``ChoiState.marginal``: rho0 is a Bell pair on
+    r1 q1 times the maximally mixed state of q2..qN.
     """
     dim = unitary.shape[0]
     bell = np.zeros((4, 4), dtype=complex)
@@ -104,13 +104,13 @@ def choi_sandwich(unitary):
 def evolve_sandwich(unitary, effects):
     """Members U (E x 1) U^dag / 2^N with E on q1, on the full register.
 
-    Dense reference for ``temporal_assemblage``; ``effects`` is indexed
-    [setting][outcome].
+    Dense reference for ``temporal_assemblage``, one product per effect;
+    ``effects`` is a (settings, outcomes, 2, 2) array and so is the result.
     """
     dim = unitary.shape[0]
     rest = np.eye(dim // 2) / dim
-    return [[unitary @ np.kron(effect, rest) @ unitary.conj().T
-             for effect in row] for row in effects]
+    return np.array([[unitary @ np.kron(effect, rest) @ unitary.conj().T
+                      for effect in row] for row in effects])
 
 
 def mixed_rank_assemblage(eta=0.2):

@@ -117,7 +117,7 @@ def test_criterion_04_unit_weight_at_t0():
     total = total_steerable_weight(ms)
     assert total == pytest.approx(1.0, abs=1e-6)
     direct = solve_steering_weight(
-        temporal_assemblage(build_choi(np.eye(4)), ms).members).steerable_weight
+        temporal_assemblage(build_choi(np.eye(4)), ms)).steerable_weight
     assert direct == pytest.approx(1.0, abs=1e-6)
     return f"shortcut {total:.9f}, full-register solve {direct:.9f}"
 

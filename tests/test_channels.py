@@ -45,39 +45,26 @@ def test_choi_identity_single_qubit_is_bell():
     bell = np.zeros((4, 4))
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
     np.testing.assert_allclose(choi.state.matrix, bell, atol=1e-15)
-    assert choi.full_reference  # n = 1: the only input is referenced
-
-
-def test_choi_reduced_is_valid_state(rng):
-    u = haar_random_unitary(8, rng)
-    choi = build_choi(u)
-    assert choi.state.register.labels == ("r1", "q1", "q2", "q3")
-    choi.state.validate()
-    assert not choi.full_reference
 
 
 def test_choi_full_reference_is_pure(rng):
+    # every input keeps its reference, so the state is pure
     u = haar_random_unitary(4, rng)
-    choi = build_choi(u, full_reference=True)
+    choi = build_choi(u)
+    assert choi.state.register.labels == ("r1", "r2", "q1", "q2")
+    choi.state.validate()
     m = choi.state.matrix
     assert m.shape == (16, 16)
     np.testing.assert_allclose(np.trace(m @ m).real, 1.0, atol=1e-12)
 
 
-def test_choi_reduced_consistent_with_full(rng):
-    # tracing r2..rN out of the full-reference state gives the reduced one
-    u = haar_random_unitary(4, rng)
-    full = build_choi(u, full_reference=True)
-    red = build_choi(u)
-    traced = partial_trace(full.state, ("r1", "q1", "q2"))
-    np.testing.assert_allclose(traced.matrix, red.state.matrix, atol=1e-12)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_choi_matches_dense_sandwich(rng, n):
-    # n = 1 splits U into single columns
+    # the marginal on r1 q1..qN is the Bell pair on r1 q1, with the other
+    # inputs maximally mixed, sent through U; n = 1 keeps the whole state
     u = haar_random_unitary(2 ** n, rng)
-    np.testing.assert_allclose(build_choi(u).state.matrix, choi_sandwich(u),
+    got = build_choi(u).marginal(("r1",) + system_labels(n))
+    np.testing.assert_allclose(got.matrix, choi_sandwich(u),
                                rtol=0, atol=1e-13)
 
 
@@ -100,18 +87,20 @@ def test_tmi_identity_matches_computed_i_acd(rng, n):
 
 def test_tmi_identity_on_full_reference_choi(rng):
     u = haar_random_unitary(8, rng)
-    full = build_choi(u, full_reference=True)
+    full = build_choi(u)
     for part in (PartitionSpec(("r1",), ("q1",), ("q2", "q3")),
                  PartitionSpec(("r2",), ("q1", "q3"), ("q2",)),
                  PartitionSpec(("r1", "r3"), ("q2",), ("q1", "q3"))):
+        a, c, d = part.region_a, part.region_c, part.region_d
         tmi = tripartite_mutual_information(full, part)
-        assert tmi.i_acd == 2.0 * len(part.region_a)
+        assert tmi.i_acd == 2.0 * len(a)
         assert _computed_i_acd(full, part) == pytest.approx(tmi.i_acd,
                                                             abs=1e-12)
-        # the full-reference state reduces to the one-reference state on r1
-        if part.region_a == ("r1",):
-            red = tripartite_mutual_information(build_choi(u), part)
-            assert red.minus_i3 == pytest.approx(tmi.minus_i3, abs=1e-12)
+        # the marginal terms agree with the dense state's
+        assert tmi.i_ac == pytest.approx(
+            mutual_information(full.state, a, c), abs=1e-12)
+        assert tmi.i_ad == pytest.approx(
+            mutual_information(full.state, a, d), abs=1e-12)
 
 
 def test_tmi_partition_missing_a_qubit_is_computed(rng):
@@ -125,15 +114,19 @@ def test_tmi_partition_missing_a_qubit_is_computed(rng):
     assert tmi.i_acd < 2.0 - 1e-3
 
 
-@pytest.mark.parametrize("full_reference", [False, True])
-def test_marginal_matches_dense_partial_trace(rng, full_reference):
+@pytest.mark.parametrize("other_references", [False, True])
+def test_marginal_matches_dense_partial_trace(rng, other_references):
+    # without other references: r1 and outputs, up to r1 q1..q4 whole;
+    # with them: r2..r4 too, up to the whole register
     u = haar_random_unitary(16, rng)
-    choi = build_choi(u, full_reference=full_reference)
+    choi = build_choi(u)
     keeps = [("r1", "q1"), ("q3", "r1"), ("r1", "q2", "q4"),
-             ("q4", "q1", "r1", "q2"), ("q2",),
-             choi.register.labels, choi.register.labels[::-1]]
-    if full_reference:
+             ("q4", "q1", "r1", "q2"), ("q2",)]
+    whole = ("r1",) + system_labels(4)
+    if other_references:
         keeps += [("r2", "q1", "r1"), ("r3", "q3"), ("r4", "r2", "q2", "q4")]
+        whole = choi.register.labels
+    keeps += [whole, whole[::-1]]
     for keep in keeps:
         got = choi.marginal(keep)
         assert got.register.labels == keep
@@ -145,7 +138,7 @@ def test_marginal_matches_dense_partial_trace(rng, full_reference):
 
 def test_marginal_rejects_labels_outside_the_register(rng):
     choi = build_choi(haar_random_unitary(8, rng))
-    for keep in (("r2", "q1"), ("r1", "q4"), ("q1", "q1"), ()):
+    for keep in (("r4", "q1"), ("r1", "q4"), ("q1", "q1"), ()):
         with pytest.raises(ValueError):
             choi.marginal(keep)
 

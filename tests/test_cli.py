@@ -215,6 +215,41 @@ def test_unusable_tolerance_or_job_count_is_a_clean_error(capsys, tmp_path):
             in capsys.readouterr().err)
 
 
+def test_late_start_is_a_clean_error(capsys):
+    # the default horizon of the g = 1 chain is 40: a later start would
+    # run the grid backwards
+    rc = cli.main(["scan", "--model", "ising", "--n", "3", "--points", "3",
+                   "--tstart", "50"])
+    assert rc == 2
+    assert ("error: t_max must exceed t_start, got t_start = 50.0 and "
+            "t_max = 40.0" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("config, message", [
+    (["n"], "config must be a JSON object, got list"),
+    ({"points": 2.5}, "points must be an integer, got 2.5"),
+    ({"n": "5"}, "n must be an integer, got '5'"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"g": "x"}, "g must be a number, got 'x'"),
+    ({"n_c": 1.5}, "n_c must be an integer, got 1.5"),
+    ({"t_max": "3"}, "t_max must be a number, got '3'"),
+    ({"jobs": 2.0}, "jobs must be an integer, got 2.0"),
+    ({"n": True}, "n must be an integer, got True"),
+    ({"h": False}, "h must be a number, got False"),
+    ({"unitary_file": 5}, "unitary_file must be a path, got 5"),
+], ids=["list", "points", "n", "seed", "g", "n_c", "t_max", "jobs",
+        "bool-int", "bool-float", "unitary_file"])
+def test_config_type_errors_are_clean(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    if isinstance(config, dict):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**config)
+
+
 def test_bad_arguments_exit_nonzero():
     with pytest.raises(SystemExit):
         cli.main(["scan", "--model", "warp-drive"])

@@ -61,7 +61,7 @@ def test_build_ising_integrable_has_no_longitudinal_field():
 
 def test_jordan_wigner_anticommutators():
     n = 3
-    chis = [jordan_wigner_majorana(i, n).string.dense()
+    chis = [jordan_wigner_majorana(i, n).dense()
             for i in range(1, 2 * n + 1)]
     for i, a in enumerate(chis):
         for j, b in enumerate(chis):

@@ -55,8 +55,7 @@ def test_rank_deficient_members_solved_exactly():
     # pure non-commuting members kill every deterministic strategy, so the
     # facial reduction returns weight 1 with no interior-point iterations
     ms = MeasurementSet.pauli()
-    members = [[e / 2 for e in row] for row in ms.effects]
-    sol = solve_steering_weight(members)
+    sol = solve_steering_weight(ms.effects / 2)
     assert sol.steerable_weight == 1.0
     assert sol.mu_star == 0.0
     assert sol.reduced
@@ -202,8 +201,9 @@ def test_list_and_array_members_agree(case, ipm_iterates):
         "isotropic-xz": lambda: isotropic_assemblage(0.5, [PX, PZ]),
         "isotropic-xyz": lambda: isotropic_assemblage(0.8, [PX, PY, PZ]),
         "mixed-rank": lambda: mixed_rank_assemblage(0.2),
-        "unit-t0": lambda: _ising_region(5, 0.0, ("q1", "q2")),
-        "ising-zero": lambda: _ising_region(5, 20.0, ("q3", "q4", "q5")),
+        "unit-t0": lambda: _nested(_ising_region(5, 0.0, ("q1", "q2"))),
+        "ising-zero": lambda: _nested(
+            _ising_region(5, 20.0, ("q3", "q4", "q5"))),
     }[case]()
     stack = np.array(members)
     from_list = solve_steering_weight(members)
@@ -474,7 +474,7 @@ def test_solvers_never_import_scipy():
 def _ising_region(n, t, region):
     prop = Propagator(build_ising(n, 1.0, 0.5).matrix())
     return temporal_assemblage(build_choi(prop.unitary(t)),
-                               MeasurementSet.pauli(), region).members
+                               MeasurementSet.pauli(), region)
 
 
 def _equality_residual(members, hidden):

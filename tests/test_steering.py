@@ -18,6 +18,7 @@ from qscramble.steering import (MeasurementSet, minus_t3, temporal_assemblage,
 def test_pauli_measurement_set():
     ms = MeasurementSet.pauli("xyz")
     assert ms.n_settings == 3 and ms.n_outcomes == 2
+    assert ms.effects.shape == (3, 2, 2, 2) and ms.effects.dtype == complex
     for row in ms.effects:
         total = sum(row)
         np.testing.assert_allclose(total, np.eye(2), atol=1e-15)
@@ -31,25 +32,45 @@ def test_pauli_measurement_set():
 def test_encode_and_evolve_shape_and_no_signaling(rng):
     ms = MeasurementSet.pauli()
     asm = temporal_assemblage(build_choi(haar_random_unitary(8, rng)), ms)
-    assert asm.labels == ("q1", "q2", "q3")
-    assert asm.n_settings == 3 and asm.n_outcomes == 2
-    assert asm.dim == 8
-    assert asm.no_signaling_defect() < 1e-12
-    probs = asm.probabilities()
+    assert asm.shape == (3, 2, 8, 8)
+    marginals = asm.sum(axis=1)
+    assert np.abs(marginals - marginals[0]).max() < 1e-12
+    probs = np.trace(asm, axis1=2, axis2=3).real
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     # measure-then-evolve on the maximally mixed register: the marginal
     # stays maximally mixed
-    np.testing.assert_allclose(asm.marginal(), np.eye(8) / 8, atol=1e-12)
+    np.testing.assert_allclose(marginals[0], np.eye(8) / 8, atol=1e-12)
 
 
 def _trine_and_biased_povm():
-    """Non-projective settings with complex off-diagonal effects."""
+    """Non-projective settings with complex off-diagonal effects; the
+    two-outcome setting is padded with a zero effect."""
     trine = []
     for k in range(3):
         phase = np.exp(2j * np.pi * k / 3)
         trine.append(np.array([[1, np.conj(phase)], [phase, 1]]) / 3)
     m = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-    return MeasurementSet("trine-biased", [trine, [m, np.eye(2) - m]])
+    return MeasurementSet("trine-biased",
+                          [trine, [m, np.eye(2) - m, np.zeros((2, 2))]])
+
+
+@pytest.mark.parametrize("effects, match", [
+    ([[np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])]], "negative eigenvalue"),
+    ([[np.eye(4)]], "shape"),
+    ([[np.eye(2)], [np.eye(2) / 2, np.eye(2) / 2]], "ragged"),
+    ([[np.eye(2)], []], "ragged"),
+    ([[]], "shape"),
+    ([[np.eye(2) + [[0, 1], [0, 0]], -np.array([[0, 1], [0, 0]])]],
+     "not Hermitian"),
+    ([[PZ, np.eye(2) - PZ]], "negative eigenvalue"),
+    ([[np.eye(2) / 2, np.eye(2) / 3]], "setting 0 .* identity"),
+    ([[np.eye(2), np.zeros((2, 2))], [np.eye(2) / 2, np.eye(2) / 2 + 1e-9]],
+     "setting 1 .* identity"),
+], ids=["negative", "4x4", "ragged-outcomes", "empty-setting", "no-effects",
+        "non-hermitian", "pauli-as-effect", "under-complete", "over-complete"])
+def test_measurement_set_rejects_invalid_effects(effects, match):
+    with pytest.raises(ValueError, match=match):
+        MeasurementSet("bad", effects)
 
 
 @pytest.mark.parametrize("measurements", [MeasurementSet.pauli(),
@@ -61,10 +82,8 @@ def test_encode_and_evolve_matches_dense_sandwich(rng, measurements):
     u = haar_random_unitary(8, rng)
     asm = temporal_assemblage(build_choi(u), measurements)
     ref = evolve_sandwich(u, measurements.effects)
-    assert [len(row) for row in asm.members] == [len(row) for row in ref]
-    for got_row, ref_row in zip(asm.members, ref):
-        for got, want in zip(got_row, ref_row):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert asm.shape == ref.shape
+    np.testing.assert_allclose(asm, ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"n={n}")
@@ -81,14 +100,13 @@ def test_temporal_assemblage_matches_traced_sandwich(rng, n):
         ref = evolve_sandwich(u, ms.effects)
         for region in regions:
             asm = temporal_assemblage(choi, ms, region)
-            assert asm.labels == region
-            assert ([len(row) for row in asm.members]
-                    == [len(row) for row in ref])
-            for got_row, ref_row in zip(asm.members, ref):
-                for got, want in zip(got_row, ref_row):
-                    want = partial_trace(DensityMatrix(want, labels),
-                                         region).matrix
-                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+            dim = 2 ** len(region)
+            assert asm.shape == ref.shape[:2] + (dim, dim)
+            for got, want in zip(asm.reshape(-1, dim, dim),
+                                 ref.reshape(-1, 2 ** n, 2 ** n)):
+                want = partial_trace(DensityMatrix(want, labels),
+                                     region).matrix
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_reduce_assemblage(rng):
@@ -97,26 +115,25 @@ def test_reduce_assemblage(rng):
     choi = build_choi(u)
     asm = temporal_assemblage(choi, ms)
     red = temporal_assemblage(choi, ms, ("q2", "q3"))
-    assert red.labels == ("q2", "q3")
-    assert red.dim == 4
-    assert red.no_signaling_defect() < 1e-12
+    assert red.shape == (3, 2, 4, 4)
+    marginals = red.sum(axis=1)
+    assert np.abs(marginals - marginals[0]).max() < 1e-12
     # probabilities are preserved by the partial trace
-    np.testing.assert_allclose(red.probabilities(), asm.probabilities(),
-                               atol=1e-12)
+    np.testing.assert_allclose(np.trace(red, axis1=2, axis2=3),
+                               np.trace(asm, axis1=2, axis2=3), atol=1e-12)
     full = temporal_assemblage(choi, ms, ("q1", "q2", "q3"))
-    # the full-reference Choi state carries the same assemblage
-    wide = temporal_assemblage(build_choi(u, full_reference=True), ms,
-                               ("q2", "q3"))
-    for rows in (zip(full.members, asm.members), zip(wide.members, red.members)):
-        for row_a, row_b in rows:
-            for a, b in zip(row_a, row_b):
-                np.testing.assert_allclose(a, b, atol=1e-13)
+    np.testing.assert_allclose(full, asm, atol=1e-13)
+    # the region's members are the full members with q1 traced out
+    labels = ("q1", "q2", "q3")
+    traced = [partial_trace(DensityMatrix(m, labels), ("q2", "q3")).matrix
+              for m in asm.reshape(-1, 8, 8)]
+    np.testing.assert_allclose(red.reshape(-1, 4, 4), traced, atol=1e-13)
 
 
 def test_identity_channel_is_maximally_steerable():
     red = temporal_assemblage(build_choi(np.eye(8)), MeasurementSet.pauli(),
                               ("q1",))
-    assert solve_steering_weight(red.members).steerable_weight == \
+    assert solve_steering_weight(red).steerable_weight == \
         pytest.approx(1.0, abs=1e-9)
 
 
@@ -130,7 +147,7 @@ def test_classical_assemblage_is_unsteerable():
 def test_full_output_returns_solution():
     red = temporal_assemblage(build_choi(np.eye(4)), MeasurementSet.pauli(),
                               ("q1",))
-    sol = solve_steering_weight(red.members)
+    sol = solve_steering_weight(red)
     w = minus_t3(build_choi(np.eye(4)), ("q1",), ("q2",)).tsw_c
     assert w == sol.steerable_weight
     assert sol.status == "Optimal"
@@ -143,7 +160,7 @@ def test_total_weight_matches_direct_solve(rng):
     # the shortcut equals the honest full-register solve for a random U
     u = haar_random_unitary(4, rng)
     direct = solve_steering_weight(
-        temporal_assemblage(build_choi(u), ms).members).steerable_weight
+        temporal_assemblage(build_choi(u), ms)).steerable_weight
     assert direct == pytest.approx(total, abs=2e-6)
 
 
@@ -213,7 +230,7 @@ def test_bound_certifies_large_region():
     # TSW_D ~ 0 with a local model
     choi, region_d = _ising8_region_d(2.0)
     asm = temporal_assemblage(choi, MeasurementSet.pauli(), region_d)
-    sol = sdp_problem._bound_weight(SteeringWeightProblem(asm.members),
+    sol = sdp_problem._bound_weight(SteeringWeightProblem(asm),
                                     "Schur system refused")
     assert sol.status == "Bounded"
     assert 0.0 <= 1.0 - sol.mu_star <= 1e-6
