@@ -75,6 +75,10 @@ class ExperimentConfig:
         if not (math.isfinite(self.sdp_gap_tol) and self.sdp_gap_tol > 0):
             raise ValueError("sdp_gap_tol must be a positive finite number, "
                              f"got {self.sdp_gap_tol}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         coupling = {"ising": ("g", self.g),

@@ -42,6 +42,7 @@ def first_order_steering_weight(members, tol: float = 1e-10,
     interior-point path with its facial reduction.
     """
     problem = SteeringWeightProblem(members)
+    problem.eigenvalues  # rejects a negative member, as the solver does
     d = problem.dim
     n_members, n_strat = problem.a_mat.shape
     m_mat = np.hstack([problem.a_mat, np.eye(n_members)])

@@ -13,7 +13,11 @@ iteration.  An unsteerable assemblage has a local model of mass 1; the
 exact-zero exit looks for one (the least-norm solution of the equality
 constraints, refined by a few reflections if it is not PSD) and returns
 TSW = 0 with the dual certificate F_{a|x} = I/n_settings.  It runs
-first, at any member dimension.
+first, at any member dimension.  When the least-norm model is positive
+definite one batched Cholesky factorization proves it, and no member or
+model is eigensolved: the member eigenvalues, and with them the check
+that no member has a negative eigenvalue, are computed on first use,
+which every route past the exit forces.
 
 Assemblages produced by projective measurements at t = 0 are rank
 deficient, so the primal has no interior and a straight interior-point
@@ -141,9 +145,12 @@ class SteeringWeightProblem:
     ``members`` is one ``(settings, outcomes, d, d)`` array and ``flat``
     its ``(settings * outcomes, d, d)`` view, whose member r = x * outcomes
     + a is sigma_{a|x}; ``a_mat[r, lam]`` and its pseudoinverse ``pinv``
-    come from one :func:`selection` call.  The member eigenvalues are
-    computed once; validation, the exits and the large-region bound all
-    read them, and share one least-norm model.
+    come from one :func:`selection` call.  Validation checks shape,
+    finiteness, hermiticity, traces and no-signalling at construction.
+    The member eigenvalues are computed once, on first access, and that
+    access also rejects a member with an eigenvalue below -1e-8; the
+    exits and the large-region bound read them and share one least-norm
+    model.
 
     Parameters
     ----------
@@ -164,14 +171,25 @@ class SteeringWeightProblem:
         self.members = stack
         self.n_settings, self.n_outcomes, self.dim = stack.shape[:3]
         self.flat = stack.reshape(-1, self.dim, self.dim)
+        self._validate_spectrum = validate
         if validate:
             self._validate()
         self.a_mat, self.pinv = selection(self.n_settings, self.n_outcomes)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of every member, setting-major."""
-        return np.linalg.eigvalsh(self.flat)
+        """Ascending eigenvalues of every member, setting-major.
+
+        The last check of validation: for a validated problem, raises
+        ``ValueError`` when a member has an eigenvalue below -1e-8.
+        """
+        evals = np.linalg.eigvalsh(self.flat)
+        lam_min = evals[:, 0]
+        if self._validate_spectrum and (lam_min < -1e-8).any():
+            r = int(np.argmax(lam_min < -1e-8))
+            raise ValueError(f"{self._member(r)} has negative "
+                             f"eigenvalue {lam_min[r]:.2e}")
+        return evals
 
     @property
     def floor(self) -> float:
@@ -182,7 +200,7 @@ class SteeringWeightProblem:
     def least_norm(self) -> Tuple[np.ndarray, np.ndarray]:
         """The least-norm model pinv @ members and the null-space
         projector 1 - pinv A."""
-        seed = _hermitian(np.einsum("lr,rij->lij", self.pinv, self.flat))
+        seed = _hermitian(_apply(self.pinv, self.flat))
         return seed, np.eye(len(self.pinv)) - self.pinv @ self.a_mat
 
     def _member(self, r: int) -> str:
@@ -201,11 +219,6 @@ class SteeringWeightProblem:
         if skew.any():
             raise ValueError(f"{self._member(int(np.argmax(skew)))} is not "
                              "Hermitian")
-        lam_min = self.eigenvalues[:, 0]
-        if (lam_min < -1e-8).any():
-            r = int(np.argmax(lam_min < -1e-8))
-            raise ValueError(f"{self._member(r)} has negative "
-                             f"eigenvalue {lam_min[r]:.2e}")
         totals = np.trace(self.members, axis1=2, axis2=3).real.sum(axis=1)
         off = np.abs(totals - 1.0) > 1e-6
         if off.any():
@@ -275,6 +288,7 @@ def solve_steering_weight(members,
     zero = _exact_zero_weight(problem)
     if zero is not None:
         return zero
+    problem.eigenvalues  # rejects a negative member before any solve
     red = problem.reduce()
     d = problem.dim
     survivors = [lam for lam, q in enumerate(red.q_bases) if not _is_empty(q)]
@@ -331,22 +345,33 @@ def _exact_zero_weight(problem: SteeringWeightProblem
 
     The least-norm solution sigma_lam = sum_r pinv[lam, r] sigma_r of the
     equalities sum_{lam selects r} sigma_lam = sigma_r holds exactly for
-    any no-signalling assemblage.  When one of its states is not PSD and
-    every member has full rank, at most ``ZERO_EXIT_ROUNDS`` averaged
+    any no-signalling assemblage.  One batched Cholesky factorization
+    proves its states positive definite when they are, and then neither
+    the members nor the model are eigensolved.  Otherwise the member
+    eigenvalues are read (which rejects a negative member), and when
+    every member has full rank at most ``ZERO_EXIT_ROUNDS`` averaged
     reflections between that affine set and the shrunken cone
     {sigma >= eps I} look for a PSD point of the affine set.  A PSD model
     that meets the equalities proves mu* >= 1, and F_{a|x} = I/n_settings
     is dual feasible with value sum_x tr(sum_a sigma_{a|x})/n_settings = 1,
     which proves mu* <= 1.  Returns None when no such model turns up.
+
+    An accepted model leaves every member above -d * ZERO_EXIT_RESIDUAL,
+    so skipping the member eigenvalues never accepts a member that
+    validation would reject.
     """
     seed, to_null = problem.least_norm
-    floor = problem.floor
-    eps = 1e-3 * floor / len(seed)
-    rounds = ZERO_EXIT_ROUNDS if floor > 0.0 else 0
-    hidden, lam_min = _reflect(seed, to_null, eps, rounds, 0.0)
-    if lam_min < 0.0:
-        return None
-    resid = np.einsum("rl,lij->rij", problem.a_mat, hidden) - problem.flat
+    try:
+        np.linalg.cholesky(seed)
+        hidden = seed
+    except np.linalg.LinAlgError:
+        floor = problem.floor
+        eps = 1e-3 * floor / len(seed)
+        rounds = ZERO_EXIT_ROUNDS if floor > 0.0 else 0
+        hidden, lam_min = _reflect(seed, to_null, eps, rounds, 0.0)
+        if lam_min < 0.0:
+            return None
+    resid = _apply(problem.a_mat, hidden) - problem.flat
     if np.abs(resid).max() > ZERO_EXIT_RESIDUAL:
         return None
     mu = float(np.trace(hidden, axis1=1, axis2=2).real.sum())
@@ -402,7 +427,7 @@ def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
         cone = (vec * np.maximum(ev, shift)[:, None, :]) \
             @ vec.conj().swapaxes(-1, -2)
         state = state + cone - hidden
-        hidden = _hermitian(seed + np.einsum("lk,kij->lij", to_null, state))
+        hidden = _hermitian(seed + _apply(to_null, state))
         lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
         if -lam_min < 0.5 * best:
             best, stale = -lam_min, 0
@@ -438,12 +463,19 @@ def _certify(flat: np.ndarray, a_mat: np.ndarray, hidden: np.ndarray,
 def _slack_floor(flat: np.ndarray, a_mat: np.ndarray,
                  model: np.ndarray) -> float:
     """Smallest eigenvalue of any sigma_{a|x} - sum_{lam selects} sigma_lam."""
-    slack = flat - np.einsum("rl,lij->rij", a_mat, model)
+    slack = flat - _apply(a_mat, model)
     return float(np.linalg.eigvalsh(_hermitian(slack))[:, 0].min())
 
 
 def _hermitian(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+
+
+def _apply(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k mat[i, k] stack[k] for a (k, d, d) stack, as one matrix
+    product over the flattened members."""
+    return (mat @ stack.reshape(len(stack), -1)).reshape(
+        len(mat), *stack.shape[1:])
 
 
 def _exact_unit_weight(problem: SteeringWeightProblem,
@@ -489,7 +521,7 @@ def _lift_certificate(problem: SteeringWeightProblem, red: _Reduction,
 def _worst_strategy_margin(a_mat: np.ndarray, cert: np.ndarray) -> float:
     """Smallest eigenvalue of any sum_x F_{a(x)|x} - 1, over the
     strategies; ``cert`` is stacked setting-major like the members."""
-    totals = np.einsum("rl,rij->lij", a_mat, cert) - np.eye(cert.shape[-1])
+    totals = _apply(a_mat.T, cert) - np.eye(cert.shape[-1])
     return float(np.linalg.eigvalsh(totals)[:, 0].min())
 
 

@@ -59,6 +59,7 @@ class MeasurementSet:
     one complex ``(settings, outcomes, 2, 2)`` array.  Each setting must
     be a POVM: Hermitian, positive semidefinite effects that sum to the
     identity.  A setting with fewer outcomes is padded with zero effects.
+    Two sets are equal when their names and effect arrays are.
     """
 
     name: str
@@ -87,6 +88,12 @@ class MeasurementSet:
             if not np.allclose(total, np.eye(2), rtol=0, atol=_EFFECT_TOL):
                 raise ValueError(f"setting {x} effects do not sum to identity")
         self.effects = effects
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasurementSet):
+            return NotImplemented
+        return (self.name == other.name
+                and np.array_equal(self.effects, other.effects))
 
     @classmethod
     def pauli(cls, axes: str = "xyz") -> "MeasurementSet":

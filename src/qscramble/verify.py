@@ -427,17 +427,49 @@ def check_exact_zero_exit(quick: bool) -> str:
     _ok(verify_certificate(asm, sol), "I/n_settings certificate")
     worst_psd = min(float(np.linalg.eigvalsh(h)[0]) for h in sol.hidden_states)
     _ok(worst_psd >= 0.0, f"hidden state eigenvalue {worst_psd}")
-    strategies = enumerate_strategies(*asm.shape[:2])
-    resid = max(
-        float(np.abs(sum(h for h, s in zip(sol.hidden_states, strategies)
-                         if s.selects(a, x)) - m).max())
-        for x, row in enumerate(asm) for a, m in enumerate(row))
+    resid = _model_residual(asm, sol.hidden_states)
     _ok(resid <= 1e-12, f"equality residual {resid}")
     res = first_order_steering_weight(asm, tol=1e-8)
     _ok(res.converged and abs(res.weight - weight) <= 1e-6,
         f"first-order {res.weight} vs exit {weight}")
     return (f"d={asm.shape[-1]} weight {weight:.1e}, residual {resid:.1e}, "
             f"first-order {res.weight:.1e}")
+
+
+def _model_residual(members: np.ndarray, hidden: np.ndarray) -> float:
+    """Largest entry of sum_{lam selects (a|x)} sigma_lam - sigma_{a|x},
+    summed strategy by strategy."""
+    strategies = enumerate_strategies(*members.shape[:2])
+    return max(
+        float(np.abs(sum(h for h, s in zip(hidden, strategies)
+                         if s.selects(a, x)) - m).max())
+        for x, row in enumerate(members) for a, m in enumerate(row))
+
+
+def check_cholesky_zero_proofs(quick: bool) -> str:
+    # grid points of the n = 5 Ising scan where both regions' least-norm
+    # models are positive definite, so the exit proves them by Cholesky
+    # alone; here eigvalsh, the strategy sums and the certificate re-prove
+    prop = Propagator(build_ising(5, 1.0, 0.5).matrix())
+    times = (4.0, 10.0, 40.0) if quick else (4.0, 5.0, 10.0, 12.0, 40.0)
+    worst_psd, worst_resid = np.inf, 0.0
+    for t in times:
+        choi = build_choi(prop.unitary(t))
+        for region in (("q1", "q2"), ("q3", "q4", "q5")):
+            asm = temporal_assemblage(choi, MeasurementSet.pauli(), region)
+            sol = solve_steering_weight(asm)
+            where = f"t={t} {'/'.join(region)}"
+            _ok(sol.status == "Optimal" and sol.iterations == 0,
+                f"{where}: {sol.status} after {sol.iterations} iterations")
+            psd = float(np.linalg.eigvalsh(sol.hidden_states)[:, 0].min())
+            _ok(psd >= 0.0, f"{where}: hidden state eigenvalue {psd}")
+            resid = _model_residual(asm, sol.hidden_states)
+            _ok(resid <= 1e-12, f"{where}: equality residual {resid}")
+            _ok(verify_certificate(asm, sol), f"{where}: certificate")
+            worst_psd = min(worst_psd, psd)
+            worst_resid = max(worst_resid, resid)
+    return (f"{2 * len(times)} regions: smallest eigenvalue "
+            f"{worst_psd:.1e}, residual {worst_resid:.1e}")
 
 
 def check_first_order_agreement(quick: bool) -> str:
@@ -527,6 +559,7 @@ CHECKS: List[Tuple[str, Callable[[bool], str]]] = [
     ("mixing convexity", check_mixing_convexity),
     ("dual certificates", check_dual_certificates),
     ("exact zero exit", check_exact_zero_exit),
+    ("cholesky zero proofs", check_cholesky_zero_proofs),
     ("first-order agreement", check_first_order_agreement),
     ("strategy enumeration", check_strategies),
     ("determinism", check_determinism),

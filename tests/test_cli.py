@@ -250,6 +250,21 @@ def test_config_type_errors_are_clean(tmp_path, capsys, config, message):
             ExperimentConfig(**config)
 
 
+@pytest.mark.parametrize("flag, field, value", [
+    ("--tmax", "t_max", "nan"), ("--h", "h", "inf"),
+    ("--tstart", "t_start", "nan"), ("--g", "g", "-inf")],
+    ids=["tmax-nan", "h-inf", "tstart-nan", "g-minus-inf"])
+def test_non_finite_config_values_are_clean_errors(capsys, flag, field,
+                                                   value):
+    rc = cli.main(["scan", "--model", "ising", "--n", "3", "--points", "3",
+                   f"{flag}={value}"])
+    assert rc == 2
+    message = f"{field} must be finite, got {float(value)!r}"
+    assert f"error: {message}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(n=3, points=3, **{field: float(value)})
+
+
 def test_bad_arguments_exit_nonzero():
     with pytest.raises(SystemExit):
         cli.main(["scan", "--model", "warp-drive"])

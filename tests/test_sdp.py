@@ -115,13 +115,19 @@ def test_validation_rejects_malformed_assemblages():
     bad[1] = [m + 0.1 * PZ for m in bad[1]]  # traces kept, marginal moved
     with pytest.raises(ValueError, match="violates no-signaling"):
         solve_steering_weight(bad)
-    bad = [[m.copy() for m in row] for row in good]
-    bad[0][0] = bad[0][0] - 0.5 * np.eye(2)  # negative eigenvalue
-    with pytest.raises(ValueError):
+    bad = _malformed("negative")  # traces and marginals kept
+    with pytest.raises(ValueError, match=r"member \(0\|0\) has negative "
+                       r"eigenvalue -2\.65e-01"):
         solve_steering_weight(bad)
     bad = [[2.0 * m for m in row] for row in good]  # traces sum to 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"setting 0: member traces sum to "
+                       r"2\.0, expected 1"):
         solve_steering_weight(bad)
+    bad = [[m.copy() for m in row] for row in good]
+    bad[0][0] = bad[0][0] - 0.5 * np.eye(2)  # negative, and traces off
+    with pytest.raises(ValueError, match=r"setting 0: member traces sum to "
+                       r"0\.0, expected 1"):
+        solve_steering_weight(bad)  # the eigenvalue check comes last
     for value, entry in ((np.nan, (0, 1)), (np.inf, (0, 0))):
         bad = [[m.copy() for m in row] for row in good]
         bad[1][0][entry] = value  # one non-finite entry in (0|1)
@@ -137,8 +143,9 @@ def _malformed(kind):
         bad[0][1] = 2.0 * bad[0][1]
     elif kind == "hermitian":
         bad[1][0] = bad[1][0] + 0.2j * PX
-    elif kind == "negative":
-        bad[0][0] = bad[0][0] - 0.5 * np.eye(2)
+    elif kind == "negative":  # traces and marginals kept
+        bad[0][0] = bad[0][0] + 0.5 * PZ
+        bad[0][1] = bad[0][1] - 0.5 * PZ
     else:  # traces kept, marginal moved
         bad[1] = [m + 0.1 * PZ for m in bad[1]]
     return bad
@@ -584,3 +591,72 @@ def test_member_data_is_computed_once_per_solve(monkeypatch):
     assert 0.0 <= sol.steerable_weight <= sdp_problem.BOUND_TOL
     assert len(selections) == 1
     assert len(member_eigensolves) == 1
+
+
+# grid points where the region's least-norm seed is positive definite
+@pytest.mark.parametrize("n, t, region", [
+    (5, 10.0, ("q3", "q4", "q5")), (6, 20.0, ("q1", "q2"))],
+    ids=["n5-D", "n6-C"])
+def test_zero_exit_proves_positive_definite_seed_without_eigensolve(
+        monkeypatch, n, t, region):
+    def no_eigensolve(*_, **__):
+        raise AssertionError("eigensolve ran")
+
+    members = _ising_region(n, t, region)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        patch.setattr(np.linalg, "eigh", no_eigensolve)
+        sol = solve_steering_weight(members)
+    assert sol.status == "Optimal" and sol.iterations == 0
+    assert sol.steerable_weight <= 1e-12
+    assert np.linalg.eigvalsh(sol.hidden_states)[:, 0].min() >= 0.0
+    assert _equality_residual(members, sol.hidden_states) <= 1e-12
+    assert verify_certificate(members, sol)
+
+
+def _eigvalsh_route(monkeypatch, problem):
+    """The exact-zero exit with the Cholesky proof failing every time."""
+    def no_cholesky(*_):
+        raise np.linalg.LinAlgError("forced")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", no_cholesky)
+        return sdp_problem._exact_zero_weight(problem)
+
+
+@pytest.mark.parametrize("n, points", [(5, 41), (6, 13)],
+                         ids=["n5", "n6"])
+def test_cholesky_exit_accepts_what_the_eigvalsh_route_accepts(
+        monkeypatch, n, points):
+    prop = Propagator(build_ising(n, 1.0, 0.5).matrix())
+    regions = (("q1", "q2"), tuple(f"q{i}" for i in range(3, n + 1)))
+    for t in np.linspace(0.0, 40.0, points):
+        choi = build_choi(prop.unitary(t))
+        for region in regions:
+            members = temporal_assemblage(choi, MeasurementSet.pauli(),
+                                          region)
+            fast = sdp_problem._exact_zero_weight(
+                SteeringWeightProblem(members))
+            slow = _eigvalsh_route(monkeypatch,
+                                   SteeringWeightProblem(members))
+            assert (fast is None) == (slow is None), (t, region)
+            if fast is not None:
+                np.testing.assert_array_equal(fast.hidden_states,
+                                              slow.hidden_states)
+                assert fast.mu_star == slow.mu_star
+
+
+def test_negative_member_rejected_before_reduction(monkeypatch):
+    # without the exit, the solver still reads the member eigenvalues
+    # before facial reduction, and the oracle does the same
+    monkeypatch.setattr(sdp_problem, "_exact_zero_weight", lambda p: None)
+    reductions = []
+    reduce = SteeringWeightProblem.reduce
+    monkeypatch.setattr(SteeringWeightProblem, "reduce",
+                        lambda self: reductions.append(self) or reduce(self))
+    for solver in (solve_steering_weight, first_order_steering_weight):
+        with pytest.raises(ValueError, match="has negative eigenvalue"):
+            solver(_malformed("negative"))
+    assert not reductions
+    unchecked = SteeringWeightProblem(_malformed("negative"), validate=False)
+    assert unchecked.floor < 0.0

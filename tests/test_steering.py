@@ -73,6 +73,14 @@ def test_measurement_set_rejects_invalid_effects(effects, match):
         MeasurementSet("bad", effects)
 
 
+def test_measurement_sets_compare_by_name_and_effects():
+    assert MeasurementSet.pauli() == MeasurementSet.pauli()
+    assert MeasurementSet.pauli() != MeasurementSet.pauli("xz")
+    pauli = MeasurementSet.pauli("xz")
+    assert MeasurementSet("other", pauli.effects) != pauli
+    assert MeasurementSet.pauli() != "xyz"
+
+
 @pytest.mark.parametrize("measurements", [MeasurementSet.pauli(),
                                           _trine_and_biased_povm()],
                          ids=["1-pauli", "1-povm"])
