@@ -81,10 +81,6 @@ class PartitionSpec:
     def n_c(self) -> int:
         return len(self.region_c)
 
-    @property
-    def n_d(self) -> int:
-        return len(self.region_d)
-
 
 class ChoiState:
     """Choi state of a unitary channel, formed from U on demand.
@@ -210,11 +206,6 @@ class PseudoDensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-    def negativity(self) -> float:
-        """Sum of the absolute values of the negative eigenvalues."""
-        evals = self.eigenvalues()
-        return float(-evals[evals < 0.0].sum())
 
 
 _PDM_MAX_QUBITS = 5  # 4^N-dimensional object; keep it a small-system tool

@@ -375,7 +375,7 @@ def backflow_integral(report: ScramblingReport, quantity: str = "I3",
         raise ValueError("backflow needs at least two grid points")
     if t_end is None:
         t_end = float(times[-1])
-    if t_end < times[0] - 1e-12 or t_end > times[-1] + 1e-12:
+    if not times[0] - 1e-12 <= t_end <= times[-1] + 1e-12:  # rejects nan
         raise ValueError(f"t_end {t_end} outside scan grid "
                          f"[{times[0]}, {times[-1]}]")
     q = -report.column(col)

@@ -124,11 +124,6 @@ class DensityMatrix:
         psi = psi / np.linalg.norm(psi)
         return cls(np.outer(psi, psi.conj()), register)
 
-    @classmethod
-    def maximally_mixed(cls, register) -> "DensityMatrix":
-        reg = register if isinstance(register, QubitRegister) else QubitRegister(register)
-        return cls(np.eye(reg.dim, dtype=complex) / reg.dim, reg)
-
     @property
     def dim(self) -> int:
         return self.register.dim

@@ -1,10 +1,9 @@
 """Steerable-weight semidefinite programming.
 
 Public surface: strategy enumeration, the steering-weight problem with
-its one entry point :func:`solve_steering_weight` (exact exits, the
-interior-point solver, and a certified bound for regions past the
-solver's envelope) and certificates, and a first-order oracle used to
-cross-check the solver in tests.  Both solvers take the members as a
+its one entry point :func:`solve_steering_weight` (exact exits and the
+interior-point solver) and certificates, and a first-order oracle used
+to cross-check the solver in tests.  Both solvers take the members as a
 (settings, outcomes, d, d) array or as nested lists, and validate them
 the same way; hidden states come back as a (strategies, d, d) array and
 certificates shaped like the members.

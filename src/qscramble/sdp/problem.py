@@ -11,13 +11,13 @@ over deterministic strategies lam.
 Two exits settle the common extremes exactly, without an interior-point
 iteration.  An unsteerable assemblage has a local model of mass 1; the
 exact-zero exit looks for one (the least-norm solution of the equality
-constraints, refined by a few reflections if it is not PSD) and returns
-TSW = 0 with the dual certificate F_{a|x} = I/n_settings.  It runs
-first, at any member dimension.  When the least-norm model is positive
-definite one batched Cholesky factorization proves it, and no member or
-model is eigensolved: the member eigenvalues, and with them the check
-that no member has a negative eigenvalue, are computed on first use,
-which every route past the exit forces.
+constraints, refined by averaged reflections if it is not PSD) and
+returns TSW = 0 with the dual certificate F_{a|x} = I/n_settings.  It
+runs first, at any member dimension.  When the least-norm model is
+positive definite one batched Cholesky factorization proves it, and no
+member or model is eigensolved: the member eigenvalues, and with them
+the check that no member has a negative eigenvalue, are computed on
+first use, which every route past the exit forces.
 
 Assemblages produced by projective measurements at t = 0 are rank
 deficient, so the primal has no interior and a straight interior-point
@@ -31,12 +31,13 @@ exit); for full-rank assemblages the reduction is the identity and adds
 no work.  Whatever remains goes to the interior-point solver, unless its
 reduced Schur system is past ``_SCHUR_BYTE_CAP``.
 
-For those regions the solver proves an upper bound TSW <= 1 - m from an
-explicit local model of mass m instead.  It runs the exact-zero exit's
-search from the same least-norm model, with more rounds and toward the
-PSD cone itself, then scales the result to exact feasibility.
-:func:`solve_steering_weight` is the one entry point and takes every
-exit in that order.
+Such a region has no other route, so the exact-zero exit gives it a
+longer search: ``MAX_ROUNDS`` reflections instead of
+``ZERO_EXIT_ROUNDS``, chosen from the unreduced Schur size.  A region
+past the cap that the search cannot zero raises
+:class:`ipm.NumericalFailure`, so every weight returned carries a dual
+certificate.  :func:`solve_steering_weight` is the one entry point and
+takes every exit in that order.
 
 Members and certificates are (settings, outcomes, d, d) stacks and
 hidden states an (L, d, d) stack over the L strategies.  The 0/1
@@ -63,16 +64,20 @@ SUPPORT_RTOL = 1e-10
 DROP_TRACE = 1e-12
 _INTERSECT_TOL = 1e-9
 
-#: averaged reflections the exact-zero exit tries before giving up
+#: averaged reflections the exact-zero exit tries on a region the
+#: interior-point solver can take
 ZERO_EXIT_ROUNDS = 20
+#: averaged reflections it tries on a region past the Schur cap
+MAX_ROUNDS = 4000
 #: largest equality residual of a local model the exact-zero exit accepts
 ZERO_EXIT_RESIDUAL = 1e-12
-#: widest accepted bound 1 - m on the steerable weight of a large region
-BOUND_TOL = 1e-6
-#: averaged reflections per bounded solve
-MAX_ROUNDS = 4000
 #: reflections without halving the PSD deficit before a search gives up
 _STALL_ROUNDS = 400
+
+
+def _past_cap(schur_dim: int) -> bool:
+    """Whether a dense Schur system of this order exceeds the memory cap."""
+    return schur_dim ** 2 * 8 > _SCHUR_BYTE_CAP
 
 
 @dataclass
@@ -149,8 +154,8 @@ class SteeringWeightProblem:
     finiteness, hermiticity, traces and no-signalling at construction.
     The member eigenvalues are computed once, on first access, and that
     access also rejects a member with an eigenvalue below -1e-8; the
-    exits and the large-region bound read them and share one least-norm
-    model.
+    exits read them and share one least-norm model.  ``reflections``
+    counts the averaged reflections the exact-zero exit ran.
 
     Parameters
     ----------
@@ -175,6 +180,7 @@ class SteeringWeightProblem:
         if validate:
             self._validate()
         self.a_mat, self.pinv = selection(self.n_settings, self.n_outcomes)
+        self.reflections = 0
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -277,12 +283,10 @@ def solve_steering_weight(members,
 
     ``members`` is a ``(settings, outcomes, d, d)`` array or the same
     nested as lists.  In order: the exact zero, facial reduction with the
-    exact unit weight (both ``iterations == 0``), the interior-point
-    solve, and for a reduced Schur system past the memory cap the
-    certified bound of :func:`_bound_weight` (status "Bounded"), which
-    raises :class:`ipm.NumericalFailure` when it cannot pin the weight.
-    Returns an :class:`SdpSolution`; the weight itself is
-    ``solution.steerable_weight``.
+    exact unit weight (both ``iterations == 0``) and the interior-point
+    solve.  A reduced Schur system past the memory cap raises
+    :class:`ipm.NumericalFailure`.  Returns an :class:`SdpSolution`; the
+    weight itself is ``solution.steerable_weight``.
     """
     problem = SteeringWeightProblem(members)
     zero = _exact_zero_weight(problem)
@@ -299,11 +303,12 @@ def solve_steering_weight(members,
     con_sizes = [d if red.pis[r] is None else red.pis[r].shape[1]
                  for r in kept]
     schur_dim = sum(s * s for s in con_sizes)
-    if schur_dim ** 2 * 8 > _SCHUR_BYTE_CAP:
-        return _bound_weight(
-            problem, f"Schur system {schur_dim}x{schur_dim} needs "
+    if _past_cap(schur_dim):
+        raise ipm.NumericalFailure(
+            f"Schur system {schur_dim}x{schur_dim} needs "
             f"~{schur_dim ** 2 * 8 / 1e9:.1f} GB; member dimension {d} is "
-            "past the interior-point envelope")
+            f"past the interior-point envelope, and {problem.reflections} "
+            "reflections found no local model of mass 1")
 
     # conic blocks: one per surviving strategy, then one slack per kept
     # member; row r reads sum_{lam selects r} sigma_lam + slack_r = sigma_r
@@ -349,12 +354,17 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     proves its states positive definite when they are, and then neither
     the members nor the model are eigensolved.  Otherwise the member
     eigenvalues are read (which rejects a negative member), and when
-    every member has full rank at most ``ZERO_EXIT_ROUNDS`` averaged
-    reflections between that affine set and the shrunken cone
-    {sigma >= eps I} look for a PSD point of the affine set.  A PSD model
-    that meets the equalities proves mu* >= 1, and F_{a|x} = I/n_settings
-    is dual feasible with value sum_x tr(sum_a sigma_{a|x})/n_settings = 1,
-    which proves mu* <= 1.  Returns None when no such model turns up.
+    every member has full rank averaged reflections between that affine
+    set and the shrunken cone {sigma >= eps I} look for a PSD point of
+    the affine set: at most ``ZERO_EXIT_ROUNDS`` of them when the
+    interior-point solver can take the region, and ``MAX_ROUNDS`` when
+    its unreduced Schur system is past the cap (facial reduction keeps
+    the whole space of full-rank members, so no other route remains).
+    A PSD model that meets the equalities proves mu* >= 1, and
+    F_{a|x} = I/n_settings is dual feasible with value
+    sum_x tr(sum_a sigma_{a|x})/n_settings = 1, which proves mu* <= 1.
+    Returns None when no such model turns up; the number of reflections
+    run is left in ``problem.reflections``.
 
     An accepted model leaves every member above -d * ZERO_EXIT_RESIDUAL,
     so skipping the member eigenvalues never accepts a member that
@@ -367,8 +377,11 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     except np.linalg.LinAlgError:
         floor = problem.floor
         eps = 1e-3 * floor / len(seed)
-        rounds = ZERO_EXIT_ROUNDS if floor > 0.0 else 0
-        hidden, lam_min = _reflect(seed, to_null, eps, rounds, 0.0)
+        past_cap = _past_cap(len(problem.flat) * problem.dim ** 2)
+        rounds = (0 if floor <= 0.0 else MAX_ROUNDS if past_cap
+                  else ZERO_EXIT_ROUNDS)
+        hidden, lam_min, problem.reflections = _reflect(seed, to_null, eps,
+                                                        rounds)
         if lam_min < 0.0:
             return None
     resid = _apply(problem.a_mat, hidden) - problem.flat
@@ -380,49 +393,21 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     return SdpSolution(mu, hidden, certificate, "Optimal", 0.0, 0)
 
 
-def _bound_weight(problem: SteeringWeightProblem,
-                  refusal: str) -> SdpSolution:
-    """Certified upper bound on the steerable weight from a local model.
-
-    For a region whose Schur system the interior-point solver refuses
-    (``refusal`` says why) and whose weight the exact-zero exit could
-    not certify.  Starting from the same least-norm model, up to
-    ``MAX_ROUNDS`` averaged reflections toward the PSD cone {sigma >= 0}
-    look for a nearly PSD point of the affine set; :func:`_certify` then
-    scales it to an exactly feasible model of mass m, which proves
-    TSW <= 1 - m.  Returns status "Bounded" with the bound 1 - m as the
-    weight and as ``gap``, no dual certificate and 0 iterations; raises
-    :class:`ipm.NumericalFailure` when 1 - m exceeds ``BOUND_TOL``.  The
-    result depends on the members alone.
-    """
-    seed, to_null = problem.least_norm
-    floor = problem.floor
-    target = max(0.25 * BOUND_TOL * max(floor, 0.0), 1e-13)
-    hidden, _ = _reflect(seed, to_null, 0.0, MAX_ROUNDS, target)
-    mu, model = _certify(problem.flat, problem.a_mat, hidden, floor)
-    if mu < 1.0 - BOUND_TOL:
-        raise ipm.NumericalFailure(
-            f"{refusal}, and a local model certifies only mass {mu:.9f}; "
-            f"weight bound exceeds {BOUND_TOL:g}")
-    return SdpSolution(mu, model, None, "Bounded", 1.0 - mu, 0)
-
-
 def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
-             rounds: int, tol: float):
+             rounds: int):
     """Averaged alternating reflections between the affine set
     seed + (1 - pinv A) z and the cone {sigma >= shift I}.
 
-    Stops once the smallest eigenvalue of the affine-exact iterate is at
-    least -``tol``, after ``rounds`` reflections, or when that eigenvalue
-    has not halved its deficit for ``_STALL_ROUNDS`` rounds.  Returns the
-    affine-exact iterate and its smallest eigenvalue.
+    Stops once the affine-exact iterate is PSD, after ``rounds``
+    reflections, or when its smallest eigenvalue has not halved its
+    deficit for ``_STALL_ROUNDS`` rounds.  Returns the affine-exact
+    iterate, its smallest eigenvalue and the number of reflections run.
     """
     state = hidden = seed
     lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
-    best, stale = -lam_min, 0
-    for _ in range(rounds):
-        if lam_min >= -tol or stale >= _STALL_ROUNDS:
-            break
+    best, stale, tried = -lam_min, 0, 0
+    while tried < rounds and lam_min < 0.0 and stale < _STALL_ROUNDS:
+        tried += 1
         ev, vec = np.linalg.eigh(2.0 * hidden - state)
         cone = (vec * np.maximum(ev, shift)[:, None, :]) \
             @ vec.conj().swapaxes(-1, -2)
@@ -433,38 +418,7 @@ def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
             best, stale = -lam_min, 0
         else:
             stale += 1
-    return hidden, lam_min
-
-
-def _certify(flat: np.ndarray, a_mat: np.ndarray, hidden: np.ndarray,
-             floor: float):
-    """Rigorous feasible mass of a candidate local model.
-
-    Clips every state to the PSD cone, then removes any remaining
-    constraint violation v by the exact bound v*I <= (v/f)*sigma_{a|x}
-    with f = ``floor``, the smallest member eigenvalue, so dividing the
-    model by (1 + v/f) is provably feasible.  Returns (mass, model), with
-    mass 0 when a member is too close to singular for that argument or
-    the scaled model still violates a constraint.
-    """
-    ev, vec = np.linalg.eigh(hidden)
-    model = (vec * np.maximum(ev, 0.0)[:, None, :]) \
-        @ vec.conj().swapaxes(-1, -2)
-    vio = max(0.0, -_slack_floor(flat, a_mat, model))
-    if vio > 0.0:
-        if floor <= 4.0 * vio:
-            return 0.0, model
-        model = model / (1.0 + vio / floor)
-    if _slack_floor(flat, a_mat, model) < -1e-12:
-        return 0.0, model
-    return float(np.trace(model, axis1=1, axis2=2).real.sum()), model
-
-
-def _slack_floor(flat: np.ndarray, a_mat: np.ndarray,
-                 model: np.ndarray) -> float:
-    """Smallest eigenvalue of any sigma_{a|x} - sum_{lam selects} sigma_lam."""
-    slack = flat - _apply(a_mat, model)
-    return float(np.linalg.eigvalsh(_hermitian(slack))[:, 0].min())
+    return hidden, lam_min, tried
 
 
 def _hermitian(stack: np.ndarray) -> np.ndarray:

@@ -28,8 +28,8 @@ global unitary and under discarding maximally mixed ancillas, both exact
 identities the tests probe) and equals the single-qubit weight of the
 bare measurement set.  Each weight is one
 :func:`qscramble.sdp.solve_steering_weight` call, which picks by itself
-between its exact exits, the interior-point SDP and, for a region past
-its Schur-memory cap, a certified upper bound.
+between its exact exits and the interior-point SDP, and returns every
+weight with a dual certificate.
 """
 
 from __future__ import annotations
@@ -186,8 +186,6 @@ class WitnessRecord:
     def status(self) -> str:
         if self.status_c == "Optimal" and self.status_d == "Optimal":
             return "ok"
-        if {self.status_c, self.status_d} <= {"Optimal", "Bounded"}:
-            return "bounded"
         return f"C:{self.status_c}/D:{self.status_d}"
 
 
@@ -202,10 +200,10 @@ def minus_t3(choi: ChoiState, region_c: Sequence[str],
     read off ``choi`` by :func:`temporal_assemblage`.  Each region's
     weight is one :func:`solve_steering_weight` call, which takes the
     first of its exits that settles the region: the exact zero, the exact
-    unit weight, the interior-point SDP, or, for a region whose Schur
-    system is past the solver's memory cap, a certified upper bound
-    (status "bounded").  Every weight depends on this Choi state alone,
-    never on earlier calls.
+    unit weight or the interior-point SDP.  A region past the solver's
+    Schur-memory cap that the exact zero cannot settle raises
+    :class:`NumericalFailure` naming the region.  Every weight depends on
+    this Choi state alone, never on earlier calls.
     """
     ms = measurements or MeasurementSet.pauli()
     tsw_tot = total_steerable_weight(ms, gap_tol=gap_tol)

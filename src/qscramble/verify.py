@@ -432,8 +432,24 @@ def check_exact_zero_exit(quick: bool) -> str:
     res = first_order_steering_weight(asm, tol=1e-8)
     _ok(res.converged and abs(res.weight - weight) <= 1e-6,
         f"first-order {res.weight} vs exit {weight}")
+    # region D of Ising n=7 with C = {q1}: d=64 is past the Schur cap, and
+    # only the exit's long search settles it
+    prop = Propagator(build_ising(7, 1.0, 0.5).matrix())
+    big = temporal_assemblage(build_choi(prop.unitary(4.0)),
+                              MeasurementSet.pauli(),
+                              tuple(f"q{i}" for i in range(2, 8)))
+    sol = solve_steering_weight(big)
+    _ok(sol.status == "Optimal" and sol.iterations == 0
+        and sol.steerable_weight <= 1e-12,
+        f"d=64: {sol.status} weight {sol.steerable_weight}")
+    big_psd = float(np.linalg.eigvalsh(sol.hidden_states)[:, 0].min())
+    _ok(big_psd >= 0.0, f"d=64: hidden state eigenvalue {big_psd}")
+    big_resid = _model_residual(big, sol.hidden_states)
+    _ok(big_resid <= 1e-12, f"d=64: equality residual {big_resid}")
+    _ok(verify_certificate(big, sol), "d=64: I/n_settings certificate")
     return (f"d={asm.shape[-1]} weight {weight:.1e}, residual {resid:.1e}, "
-            f"first-order {res.weight:.1e}")
+            f"first-order {res.weight:.1e}; d=64 past the Schur cap: "
+            f"eigenvalue {big_psd:.1e}, residual {big_resid:.1e}")
 
 
 def _model_residual(members: np.ndarray, hidden: np.ndarray) -> float:

@@ -7,6 +7,7 @@ from qscramble.channels import (PartitionSpec, build_choi,
                                 tripartite_mutual_information)
 from qscramble.experiments import (ExperimentConfig, ScanRow,
                                    ScramblingReport, model_propagator)
+from qscramble.sdp.strategies import enumerate_strategies
 
 I2 = np.eye(2, dtype=complex)
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -134,3 +135,12 @@ def mixed_rank_assemblage(eta=0.2):
               offdiag(1, 2, 1.0) + offdiag(0, 1, -1j)):
         members.append([(third + eta * h) / 2, (third - eta * h) / 2])
     return members
+
+
+def equality_residual(members, hidden):
+    """Largest entry of sum_{lam selects (a|x)} sigma_lam - sigma_{a|x},
+    summed strategy by strategy."""
+    strategies = enumerate_strategies(len(members), len(members[0]))
+    return max(float(np.abs(sum(h for h, s in zip(hidden, strategies)
+                                if s.selects(a, x)) - m).max())
+               for x, row in enumerate(members) for a, m in enumerate(row))

@@ -25,7 +25,7 @@ def test_partition_leading():
     assert part.region_a == ("r1",)
     assert part.region_c == ("q1", "q2")
     assert part.region_d == ("q3", "q4")
-    assert part.n_c == 2 and part.n_d == 2
+    assert part.n_c == 2
 
 
 def test_partition_validation():

@@ -69,6 +69,18 @@ def test_clifford_and_backflow_pipeline(tmp_path, capsys):
     assert data[1]["units"] == "unitless"
 
 
+def test_backflow_rejects_non_finite_t_end(tmp_path, capsys):
+    rows = [ScanRow(t, 0.1 * t, 0.2 * t, 1.0, 1.0, 0.5, 0.5, 0.9, "ok")
+            for t in (0.0, 1.0, 2.0)]
+    path = tmp_path / "s.csv"
+    path.write_text(ScramblingReport(ExperimentConfig(), rows).to_csv())
+    for t_end in ("nan", "inf"):
+        assert cli.main(["backflow", "--in", str(path),
+                         "--t-end", t_end]) == 2
+        assert f"error: t_end {t_end} outside scan grid" in \
+            capsys.readouterr().err
+
+
 def test_clifford_reports_progress(monkeypatch):
     ticks = []
     monkeypatch.setattr(cli, "_progress",

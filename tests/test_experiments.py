@@ -13,9 +13,8 @@ from qscramble.experiments import (CSV_HEADER, ExperimentConfig,
                                    save_unitary_file, size_sweep)
 from qscramble.models import haar_random_unitary
 from qscramble import experiments, steering
-from qscramble.sdp import problem as sdp_problem
 from qscramble.plotting import write_scan_svg
-from qscramble.sdp import NumericalFailure
+from qscramble.sdp import NumericalFailure, verify_certificate
 
 
 def test_config_validation():
@@ -118,7 +117,7 @@ def test_run_scan_rows_and_witness_identity():
     assert np.all(np.diff(times) > 0)
     np.testing.assert_allclose(times, np.linspace(0, 4, 5), atol=1e-12)
     for row in report.rows:
-        assert row.status in ("ok", "bounded")
+        assert row.status == "ok"
         assert row.minus_t3 == pytest.approx(
             row.tsw_tot - row.tsw_c - row.tsw_d, abs=1e-9)
         assert np.isfinite(row.minus_i3) and np.isfinite(row.i_ac)
@@ -148,7 +147,7 @@ def test_run_scan_from_unitary_file(tmp_path, rng):
     assert len(report.rows) == 1
     assert report.config.n == 3
     assert report.rows[0].t == 0.0
-    assert report.rows[0].status in ("ok", "bounded")
+    assert report.rows[0].status == "ok"
 
 
 def test_run_scan_jobs_leave_rows_unchanged():
@@ -160,20 +159,43 @@ def test_run_scan_jobs_leave_rows_unchanged():
     assert seq.to_csv() == par.to_csv()
 
 
-def test_bounded_rows_do_not_depend_on_the_grid(monkeypatch):
-    # with the exact-zero exit off, region D (dimension 64) is bounded at
-    # every point; t = 2.0 must not depend on the point scanned before it
-    monkeypatch.setattr(sdp_problem, "_exact_zero_weight", lambda p: None)
-
-    def row_at_2(t_start, t_max):
-        cfg = ExperimentConfig(model="ising", n=8, g=1.0, h=0.5, points=2,
-                               t_start=t_start, t_max=t_max)
+def test_past_cap_rows_do_not_depend_on_the_grid():
+    # region D of Ising n=7 --nc 1 (dimension 64) is past the Schur cap and
+    # zeroed by the exit's long search at t = 4; that row must not depend
+    # on the point scanned before it (t = 0 or 0.5, both settled at once)
+    def row_at_4(t_start):
+        cfg = ExperimentConfig(model="ising", n=7, n_c=1, points=2,
+                               t_start=t_start, t_max=4.0)
         rows = run_scan(cfg).to_csv().splitlines()[1:]
-        return [r for r in rows if r.startswith("2,")]
+        return [r for r in rows if r.startswith("4,")]
 
-    after = row_at_2(1.5, 2.0)
-    assert len(after) == 1 and after[0].endswith(",bounded")
-    assert after == row_at_2(2.0, 2.5)
+    row = row_at_4(0.0)
+    assert len(row) == 1 and row[0].endswith(",ok")
+    assert row == row_at_4(0.5)
+
+
+def test_every_reported_weight_has_a_verified_certificate(monkeypatch):
+    # the integrable Ising and Clifford scans reach the exact zero, the
+    # exact unit weight and the IPM; the n=7 --nc 1 point at t = 4 reaches
+    # the long search past the Schur cap
+    solve, solved = steering.solve_steering_weight, []
+
+    def spy(members, **kwargs):
+        sol = solve(members, **kwargs)
+        solved.append((members, sol))
+        return sol
+
+    monkeypatch.setattr(steering, "solve_steering_weight", spy)
+    run_scan(ExperimentConfig(model="ising", n=4, h=0.0, points=41))
+    run_clifford_scan()
+    choi = ChoiState(experiments.model_propagator(
+        ExperimentConfig(n=7, n_c=1)).unitary(4.0))
+    steering.minus_t3(choi, ("q1",), tuple(f"q{i}" for i in range(2, 8)))
+    assert all(verify_certificate(members, sol) for members, sol in solved)
+    paths = {"ipm" if sol.iterations else
+             "unit" if sol.mu_star == 0.0 else "zero" for _, sol in solved}
+    assert paths == {"ipm", "unit", "zero"}
+    assert solved[-1][0].shape[-1] == 64 and solved[-1][1].iterations == 0
 
 
 def test_run_scan_records_per_row_failures(monkeypatch):

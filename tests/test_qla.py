@@ -111,7 +111,7 @@ def test_entropy_pure_and_mixed():
     assert von_neumann_entropy(DensityMatrix.pure([1, 0], ["q1"])) == \
         pytest.approx(0.0, abs=1e-12)
     assert von_neumann_entropy(
-        DensityMatrix.maximally_mixed(["q1", "q2"])) == \
+        DensityMatrix(np.eye(4) / 4, ["q1", "q2"])) == \
         pytest.approx(2.0, abs=1e-12)
 
 

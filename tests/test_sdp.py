@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import (PX, PY, PZ, bloch_assemblage, isotropic_assemblage,
-                     max_step, mixed_rank_assemblage, random_steerable_state)
+from helpers import (PX, PY, PZ, bloch_assemblage, equality_residual,
+                     isotropic_assemblage, max_step, mixed_rank_assemblage,
+                     random_steerable_state)
 from qscramble.channels import build_choi
 from qscramble.models import build_ising
 from qscramble.qla import Propagator
@@ -484,13 +485,6 @@ def _ising_region(n, t, region):
                                MeasurementSet.pauli(), region)
 
 
-def _equality_residual(members, hidden):
-    strategies = enumerate_strategies(len(members), len(members[0]))
-    return max(float(np.abs(sum(h for h, s in zip(hidden, strategies)
-                                if s.selects(a, x)) - m).max())
-               for x, row in enumerate(members) for a, m in enumerate(row))
-
-
 # grid points of the scans' 41- and 13-point grids on [0, 40]; at t = 20
 # region D's least-norm seed is not PSD, so the reflections are exercised
 @pytest.mark.parametrize("n, region", [
@@ -504,7 +498,7 @@ def test_zero_exit_certifies_ising_grid_point(n, region):
     assert sol.iterations == 0 and sol.gap == 0.0
     assert not sol.reduced and not sol.eliminated
     assert min(np.linalg.eigvalsh(h)[0] for h in sol.hidden_states) >= 0.0
-    assert _equality_residual(members, sol.hidden_states) <= 1e-12
+    assert equality_residual(members, sol.hidden_states) <= 1e-12
     assert sol.steerable_weight <= 1e-12
     assert verify_certificate(members, sol)
     for row in sol.dual_certificate:
@@ -565,9 +559,9 @@ def test_zero_exit_at_member_dimension_32():
 
 
 def test_member_data_is_computed_once_per_solve(monkeypatch):
-    # without reflections the exact-zero exit rejects this region, and with
-    # the Schur cap at zero the bound takes it: both start from one
-    # least-norm model and one eigensolve of the stacked members
+    # with the Schur cap at zero the exact-zero exit runs its long search
+    # (ZERO_EXIT_ROUNDS = 0 rules out the short one) and zeroes this region
+    # from one least-norm model and one eigensolve of the stacked members
     members = _ising_region(5, 20.0, ("q3", "q4", "q5"))
     monkeypatch.setattr(sdp_problem, "ZERO_EXIT_ROUNDS", 0)
     monkeypatch.setattr(sdp_problem, "_SCHUR_BYTE_CAP", 1.0)
@@ -587,8 +581,8 @@ def test_member_data_is_computed_once_per_solve(monkeypatch):
     monkeypatch.setattr(sdp_problem, "selection", count_selection)
     monkeypatch.setattr(np.linalg, "eigvalsh", count_eigvalsh)
     sol = solve_steering_weight(members)
-    assert sol.status == "Bounded"
-    assert 0.0 <= sol.steerable_weight <= sdp_problem.BOUND_TOL
+    assert sol.status == "Optimal" and sol.iterations == 0
+    assert sol.steerable_weight <= 1e-12
     assert len(selections) == 1
     assert len(member_eigensolves) == 1
 
@@ -610,7 +604,7 @@ def test_zero_exit_proves_positive_definite_seed_without_eigensolve(
     assert sol.status == "Optimal" and sol.iterations == 0
     assert sol.steerable_weight <= 1e-12
     assert np.linalg.eigvalsh(sol.hidden_states)[:, 0].min() >= 0.0
-    assert _equality_residual(members, sol.hidden_states) <= 1e-12
+    assert equality_residual(members, sol.hidden_states) <= 1e-12
     assert verify_certificate(members, sol)
 
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import PX, PZ, evolve_sandwich, isotropic_assemblage
+from helpers import (PZ, equality_residual, evolve_sandwich,
+                     isotropic_assemblage)
 from qscramble.channels import PartitionSpec, build_choi, system_labels
 from qscramble.models import (build_ising, clifford_scrambler_unitary,
                               haar_random_unitary, random_local_unitary)
 from qscramble.qla import DensityMatrix, Propagator, partial_trace
-from qscramble.sdp import (NumericalFailure, SteeringWeightProblem,
-                           solve_steering_weight)
+from qscramble.sdp import (NumericalFailure, solve_steering_weight,
+                           verify_certificate)
 from qscramble.sdp import problem as sdp_problem
-from qscramble.sdp.strategies import enumerate_strategies
 from qscramble.steering import (MeasurementSet, minus_t3, temporal_assemblage,
                                 total_steerable_weight,
                                 tsw_unitary_invariance_check)
@@ -205,16 +205,28 @@ def test_local_unitary_cannot_scramble(rng):
     assert abs(rec.minus_t3) < 2e-6
 
 
-def test_bound_small_dims_defer_to_exact(monkeypatch):
-    def refuse(problem, refusal):
-        raise AssertionError("bound used for a region the IPM accepts")
+def test_ipm_sized_regions_keep_the_short_search(monkeypatch):
+    # at t = 2 region q3 is zeroed after two reflections and the steerable
+    # region q2 q3 spends all ZERO_EXIT_ROUNDS before its IPM solve; no
+    # region the IPM can take gets the long search
+    reflect, runs = sdp_problem._reflect, []
 
-    monkeypatch.setattr(sdp_problem, "_bound_weight", refuse)
+    def spy(seed, to_null, shift, rounds):
+        out = reflect(seed, to_null, shift, rounds)
+        runs.append((rounds, out[2]))
+        return out
+
+    monkeypatch.setattr(sdp_problem, "_reflect", spy)
     prop = Propagator(build_ising(3, 1.0, 0.5).matrix())
-    choi = build_choi(prop.unitary(0.8))
-    rec = minus_t3(choi, ("q1", "q2"), ("q3",))
-    assert rec.status == "ok"
-    assert rec == minus_t3(choi, ("q1", "q2"), ("q3",))
+    choi = build_choi(prop.unitary(2.0))
+    zero, steerable = [
+        solve_steering_weight(temporal_assemblage(choi, MeasurementSet.pauli(),
+                                                  region))
+        for region in (("q3",), ("q2", "q3"))]
+    assert zero.iterations == 0 and zero.steerable_weight <= 1e-12
+    assert steerable.iterations > 0 and steerable.steerable_weight > 0.05
+    rounds = sdp_problem.ZERO_EXIT_ROUNDS
+    assert runs == [(rounds, 2), (rounds, rounds)]
 
 
 def _ising8_region_d(t):
@@ -233,51 +245,24 @@ def test_exit_certifies_large_region():
         rec.tsw_total - rec.tsw_c - rec.tsw_d, abs=1e-15)
 
 
-def test_bound_certifies_large_region():
-    # the bound, called directly on the same d=64 region, still pins
-    # TSW_D ~ 0 with a local model
-    choi, region_d = _ising8_region_d(2.0)
-    asm = temporal_assemblage(choi, MeasurementSet.pauli(), region_d)
-    sol = sdp_problem._bound_weight(SteeringWeightProblem(asm),
-                                    "Schur system refused")
-    assert sol.status == "Bounded"
-    assert 0.0 <= 1.0 - sol.mu_star <= 1e-6
-
-
-def test_minus_t3_bounds_large_region_when_exit_fails(monkeypatch):
-    # with the exact-zero exit off, region D (dimension 64) is refused by
-    # the interior-point solver and must fall back to a certified bound
-    monkeypatch.setattr(sdp_problem, "_exact_zero_weight", lambda p: None)
-    bounds = []
-
-    bound = sdp_problem._bound_weight
-
-    def spy(problem, refusal):
-        sol = bound(problem, refusal)
-        bounds.append((problem.members, sol))
-        return sol
-
-    monkeypatch.setattr(sdp_problem, "_bound_weight", spy)
-    choi, region_d = _ising8_region_d(2.0)
-    rec = minus_t3(choi, ("q1", "q2"), region_d)
-    assert rec.status == "bounded" and rec.status_d == "Bounded"
-    assert 0.0 <= rec.tsw_d <= 1e-6
-    assert len(bounds) == 1
-    members, sol = bounds[0]
-    assert members[0][0].shape == (64, 64)
-    assert rec.tsw_d == sol.steerable_weight
-    # the model is a feasible local model, checked from scratch (states
-    # are PSD up to the rounding of their eigendecomposition)
-    for h in sol.hidden_states:
-        assert np.linalg.eigvalsh(h).min() >= -1e-15
-    for x, row in enumerate(members):
-        for a, m in enumerate(row):
-            chosen = sum(sol.hidden_states[s.index]
-                         for s in enumerate_strategies(3, 2)
-                         if s.outcomes[x] == a)
-            assert np.linalg.eigvalsh(m - chosen).min() >= -1e-12
-    assert sum(np.trace(h).real for h in sol.hidden_states) == \
-        pytest.approx(sol.mu_star, abs=1e-12)
+def test_long_search_zeroes_region_past_the_schur_cap():
+    # region D of Ising n=7 --nc 1 (d=64) at t = 4: its Schur system is
+    # past the cap, and ZERO_EXIT_ROUNDS reflections are too few, so the
+    # exit's long search must prove TSW_D = 0 with a local model of mass 1
+    # and a dual certificate
+    prop = Propagator(build_ising(7, 1.0, 0.5).matrix())
+    choi = build_choi(prop.unitary(4.0))
+    region_d = tuple(f"q{i}" for i in range(2, 8))
+    members = temporal_assemblage(choi, MeasurementSet.pauli(), region_d)
+    sol = solve_steering_weight(members)
+    assert members.shape == (3, 2, 64, 64)
+    assert sol.status == "Optimal" and sol.iterations == 0
+    assert sol.steerable_weight <= 1e-12
+    assert np.linalg.eigvalsh(sol.hidden_states)[:, 0].min() >= 0.0
+    assert equality_residual(members, sol.hidden_states) <= 1e-12
+    assert verify_certificate(members, sol)
+    rec = minus_t3(choi, ("q1",), region_d)
+    assert rec.status == "ok" and rec.tsw_d == sol.steerable_weight
 
 
 def test_schur_cap_raises_clean_failure(rng, monkeypatch):
