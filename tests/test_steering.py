@@ -261,8 +261,50 @@ def test_long_search_zeroes_region_past_the_schur_cap():
     assert np.linalg.eigvalsh(sol.hidden_states)[:, 0].min() >= 0.0
     assert equality_residual(members, sol.hidden_states) <= 1e-12
     assert verify_certificate(members, sol)
+
+
+def test_bound_certifies_large_region():
+    # the d=64 region D of Ising n=8 at t = 2, solved directly: the weight
+    # is certified from scratch by a PSD local model of mass 1 and a
+    # verified dual certificate
+    choi, region_d = _ising8_region_d(2.0)
+    members = temporal_assemblage(choi, MeasurementSet.pauli(), region_d)
+    sol = solve_steering_weight(members)
+    assert members.shape == (3, 2, 64, 64)
+    assert sol.status == "Optimal"
+    assert 0.0 <= sol.steerable_weight <= 1e-12
+    assert np.linalg.eigvalsh(sol.hidden_states)[:, 0].min() >= 0.0
+    assert equality_residual(members, sol.hidden_states) <= 1e-12
+    assert verify_certificate(members, sol)
+
+
+def test_minus_t3_bounds_large_region_when_exit_fails(monkeypatch):
+    # ZERO_EXIT_ROUNDS reflections do not zero region D of Ising n=7
+    # --nc 1 at t = 4 (d=64, past the Schur cap); minus_t3 still reports
+    # TSW_D from the long search, with status ok
+    reflect, runs = sdp_problem._reflect, []
+
+    def spy(seed, to_null, shift, rounds):
+        out = reflect(seed, to_null, shift, rounds)
+        runs.append((seed.shape[-1], rounds, out[2]))
+        return out
+
+    monkeypatch.setattr(sdp_problem, "_reflect", spy)
+    prop = Propagator(build_ising(7, 1.0, 0.5).matrix())
+    choi = build_choi(prop.unitary(4.0))
+    region_d = tuple(f"q{i}" for i in range(2, 8))
     rec = minus_t3(choi, ("q1",), region_d)
-    assert rec.status == "ok" and rec.tsw_d == sol.steerable_weight
+    assert rec.status == "ok" and rec.status_d == "Optimal"
+    assert 0.0 <= rec.tsw_d <= 1e-12
+    assert rec.minus_t3 == pytest.approx(
+        rec.tsw_total - rec.tsw_c - rec.tsw_d, abs=1e-15)
+    long = [(rounds, ran) for d, rounds, ran in runs if d == 64]
+    assert len(long) == 1
+    rounds, ran = long[0]
+    assert rounds == sdp_problem.MAX_ROUNDS
+    assert sdp_problem.ZERO_EXIT_ROUNDS < ran < rounds
+    members = temporal_assemblage(choi, MeasurementSet.pauli(), region_d)
+    assert rec.tsw_d == solve_steering_weight(members).steerable_weight
 
 
 def test_schur_cap_raises_clean_failure(rng, monkeypatch):
