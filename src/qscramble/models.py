@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class PauliString:
         if _parity(self.zmask & other.xmask):
             phase = -phase
         return PauliString(self.n, x, z, self.coeff * other.coeff * phase)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        return not (_parity(self.xmask & other.zmask)
-                    ^ _parity(self.zmask & other.xmask))
 
     def dense(self) -> ComplexMatrix:
         """Materialize as a dense (2^n, 2^n) matrix."""
@@ -351,30 +347,3 @@ def random_local_unitary(partition, rng: np.random.Generator) -> ComplexMatrix:
     t = np.transpose(t, axes + [a + n for a in axes])
     return np.ascontiguousarray(t.reshape(u.shape))
 
-
-def swap_network(n: int, pairs: Sequence[Tuple[int, int]]) -> ComplexMatrix:
-    """One layer of disjoint qubit swaps as a permutation unitary.
-
-    ``pairs`` lists 1-based qubit index pairs to exchange; they must be
-    disjoint (a single network layer).  Deeper rearrangements are built by
-    multiplying layers.
-    """
-    seen = set()
-    for a, b in pairs:
-        if a == b or not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"invalid swap pair ({a}, {b})")
-        if a in seen or b in seen:
-            raise ValueError("swap pairs overlap; split into layers")
-        seen.update((a, b))
-    dim = 1 << n
-    src = np.arange(dim)
-    dst = src.copy()
-    for a, b in pairs:
-        ba, bb = n - a, n - b  # bit positions (qubit 1 = msb)
-        va = (src >> ba) & 1
-        vb = (src >> bb) & 1
-        flip = va ^ vb
-        dst = dst ^ (flip << ba) ^ (flip << bb)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[dst, src] = 1.0
-    return mat

@@ -209,18 +209,17 @@ def partial_transpose(dm: DensityMatrix, labels: Sequence[str]) -> DensityMatrix
     return DensityMatrix(np.ascontiguousarray(out), reg)
 
 
-def hermitian_eig(mat: ComplexMatrix, check: bool = True):
+def hermitian_eig(mat: ComplexMatrix):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(evals, evecs)`` with eigenvalues ascending and
     ``mat = evecs @ diag(evals) @ evecs.conj().T``.  Raises ValueError when
-    ``check`` is set and the input is not Hermitian within tolerance.
+    the input is not Hermitian within tolerance.
     """
     mat = np.asarray(mat)
-    if check:
-        scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-        if not np.allclose(mat, mat.conj().T, atol=HERMITIAN_ATOL * scale):
-            raise ValueError("matrix is not Hermitian")
+    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
+    if not np.allclose(mat, mat.conj().T, atol=HERMITIAN_ATOL * scale):
+        raise ValueError("matrix is not Hermitian")
     return np.linalg.eigh(mat)
 
 
@@ -274,9 +273,3 @@ def mutual_information(dm: DensityMatrix, labels_a: Sequence[str],
     return (von_neumann_entropy(rho_a, base) + von_neumann_entropy(rho_b, base)
             - von_neumann_entropy(rho_ab, base))
 
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> ComplexMatrix:
-    """Full-rank random density matrix (Wishart / Hilbert-Schmidt style)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    w = g @ g.conj().T
-    return w / np.trace(w).real

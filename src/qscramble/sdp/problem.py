@@ -31,9 +31,11 @@ exit); for full-rank assemblages the reduction is the identity and adds
 no work.  Whatever remains goes to the interior-point solver, unless its
 reduced Schur system is past ``_SCHUR_BYTE_CAP``.
 
-Such a region has no other route, so the exact-zero exit gives it a
-longer search: ``MAX_ROUNDS`` reflections instead of
-``ZERO_EXIT_ROUNDS``, chosen from the unreduced Schur size.  A region
+The reflections follow one stop rule at every region size: up to
+``MAX_ROUNDS`` of them, ending once the PSD deficit has not halved in
+``ZERO_EXIT_ROUNDS`` rounds.  A search that keeps halving runs on, which
+is what settles large regions with no other route; one that stalls
+gives up ``ZERO_EXIT_ROUNDS`` rounds after its last halving.  A region
 past the cap that the search cannot zero raises
 :class:`ipm.NumericalFailure`, so every weight returned carries a dual
 certificate.  :func:`solve_steering_weight` is the one entry point and
@@ -64,20 +66,12 @@ SUPPORT_RTOL = 1e-10
 DROP_TRACE = 1e-12
 _INTERSECT_TOL = 1e-9
 
-#: averaged reflections the exact-zero exit tries on a region the
-#: interior-point solver can take
-ZERO_EXIT_ROUNDS = 20
-#: averaged reflections it tries on a region past the Schur cap
+#: most averaged reflections the exact-zero exit tries on a region
 MAX_ROUNDS = 4000
+#: reflections without halving the PSD deficit before the search gives up
+ZERO_EXIT_ROUNDS = 20
 #: largest equality residual of a local model the exact-zero exit accepts
 ZERO_EXIT_RESIDUAL = 1e-12
-#: reflections without halving the PSD deficit before a search gives up
-_STALL_ROUNDS = 400
-
-
-def _past_cap(schur_dim: int) -> bool:
-    """Whether a dense Schur system of this order exceeds the memory cap."""
-    return schur_dim ** 2 * 8 > _SCHUR_BYTE_CAP
 
 
 @dataclass
@@ -303,7 +297,7 @@ def solve_steering_weight(members,
     con_sizes = [d if red.pis[r] is None else red.pis[r].shape[1]
                  for r in kept]
     schur_dim = sum(s * s for s in con_sizes)
-    if _past_cap(schur_dim):
+    if schur_dim ** 2 * 8 > _SCHUR_BYTE_CAP:
         raise ipm.NumericalFailure(
             f"Schur system {schur_dim}x{schur_dim} needs "
             f"~{schur_dim ** 2 * 8 / 1e9:.1f} GB; member dimension {d} is "
@@ -356,10 +350,9 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     eigenvalues are read (which rejects a negative member), and when
     every member has full rank averaged reflections between that affine
     set and the shrunken cone {sigma >= eps I} look for a PSD point of
-    the affine set: at most ``ZERO_EXIT_ROUNDS`` of them when the
-    interior-point solver can take the region, and ``MAX_ROUNDS`` when
-    its unreduced Schur system is past the cap (facial reduction keeps
-    the whole space of full-rank members, so no other route remains).
+    the affine set.  The search gets the same budget at every region
+    size: at most ``MAX_ROUNDS`` reflections, ending once the PSD
+    deficit has not halved in ``ZERO_EXIT_ROUNDS`` of them.
     A PSD model that meets the equalities proves mu* >= 1, and
     F_{a|x} = I/n_settings is dual feasible with value
     sum_x tr(sum_a sigma_{a|x})/n_settings = 1, which proves mu* <= 1.
@@ -377,9 +370,7 @@ def _exact_zero_weight(problem: SteeringWeightProblem
     except np.linalg.LinAlgError:
         floor = problem.floor
         eps = 1e-3 * floor / len(seed)
-        past_cap = _past_cap(len(problem.flat) * problem.dim ** 2)
-        rounds = (0 if floor <= 0.0 else MAX_ROUNDS if past_cap
-                  else ZERO_EXIT_ROUNDS)
+        rounds = MAX_ROUNDS if floor > 0.0 else 0
         hidden, lam_min, problem.reflections = _reflect(seed, to_null, eps,
                                                         rounds)
         if lam_min < 0.0:
@@ -400,13 +391,13 @@ def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
 
     Stops once the affine-exact iterate is PSD, after ``rounds``
     reflections, or when its smallest eigenvalue has not halved its
-    deficit for ``_STALL_ROUNDS`` rounds.  Returns the affine-exact
+    deficit for ``ZERO_EXIT_ROUNDS`` rounds.  Returns the affine-exact
     iterate, its smallest eigenvalue and the number of reflections run.
     """
     state = hidden = seed
     lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
     best, stale, tried = -lam_min, 0, 0
-    while tried < rounds and lam_min < 0.0 and stale < _STALL_ROUNDS:
+    while tried < rounds and lam_min < 0.0 and stale < ZERO_EXIT_ROUNDS:
         tried += 1
         ev, vec = np.linalg.eigh(2.0 * hidden - state)
         cone = (vec * np.maximum(ev, shift)[:, None, :]) \

@@ -1,11 +1,13 @@
-"""Self-contained invariant suite for every layer of the package.
+"""Invariant suite behind ``qscramble verify``: checks that cross layers.
 
 Each check recomputes an expected value through an independent route
-(index sums, closed forms, Monte Carlo moments, dual certificates) and
-compares against the production code path.  ``run_checks(quick=True)``
-trims sample counts and problem sizes for use inside test runs; the full
-suite, including the d = 16 solver scaling envelope, is what the CLI
-``verify`` subcommand executes.
+(index sums, a second construction, closed-form anchors, dual
+certificates, a second solver) and compares it against the production
+code path.  Single-function oracles (partial trace, Pauli algebra, model
+Hamiltonians and the like) live in the unit tests alone.
+``run_checks(quick=True)`` trims sample counts and problem sizes for use
+inside test runs; both forms time one d = 16 interior-point solve
+against the scaling envelope.
 """
 
 from __future__ import annotations
@@ -16,15 +18,9 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from . import qla, models, channels
-from .qla import (DensityMatrix, QubitRegister, kron, partial_trace,
-                  partial_transpose, hermitian_eig, Propagator,
-                  von_neumann_entropy, mutual_information,
-                  random_density_matrix)
-from .models import (PauliString, pauli_matrix, build_ising, build_syk,
-                     jordan_wigner_majorana, clifford_scrambler_unitary,
-                     clifford_scan_unitary, haar_random_unitary,
-                     random_local_unitary)
+from .qla import kron, partial_trace, Propagator, mutual_information
+from .models import (build_ising, clifford_scrambler_unitary,
+                     haar_random_unitary, random_local_unitary)
 from .channels import (PartitionSpec, build_choi, build_pdm,
                        tripartite_mutual_information, assemblage_from_pdm)
 from .steering import (MeasurementSet, temporal_assemblage,
@@ -72,201 +68,6 @@ def check_kron_oracle(quick: bool) -> str:
     rhs = kron(kron(a, b), c)
     _ok(np.allclose(lhs, rhs, atol=1e-12), "kron associativity")
     return "entry formula and associativity"
-
-
-def check_partial_trace_oracle(quick: bool) -> str:
-    rng = _rng(12)
-    reg = QubitRegister(("a", "b", "c"))
-    rho = random_density_matrix(8, rng)
-    dm = DensityMatrix(rho, reg)
-    # trace out b by explicit index sums
-    t = rho.reshape(2, 2, 2, 2, 2, 2)
-    expect = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for k in range(2):
-            for j in range(2):
-                for m in range(2):
-                    expect[2 * i + k, 2 * j + m] += sum(
-                        t[i, b, k, j, b, m] for b in range(2))
-    got = partial_trace(dm, ("a", "c"))
-    _ok(np.allclose(got.matrix, expect, atol=1e-12), "partial trace oracle")
-    _ok(abs(np.trace(got.matrix) - 1.0) < 1e-12, "trace not preserved")
-    _ok(got.register.labels == ("a", "c"), "kept-label order")
-    single = partial_trace(dm, ("b",)).matrix
-    _ok(abs(np.trace(single) - 1.0) < 1e-12
-        and np.linalg.eigvalsh(single).min() > -1e-12,
-        "single-qubit reduction not a state")
-    return "explicit index-sum agreement"
-
-
-def check_partial_transpose(quick: bool) -> str:
-    rng = _rng(13)
-    reg = QubitRegister(("a", "b"))
-    rho = random_density_matrix(4, rng)
-    dm = DensityMatrix(rho, reg)
-    twice = partial_transpose(partial_transpose(dm, ("b",)), ("b",))
-    _ok(np.allclose(twice.matrix, rho, atol=1e-13), "PT not an involution")
-    ra = random_density_matrix(2, rng)
-    rb = random_density_matrix(2, rng)
-    prod = DensityMatrix(kron(ra, rb), reg)
-    pt = partial_transpose(prod, ("b",))
-    _ok(np.allclose(pt.matrix, kron(ra, rb.T), atol=1e-13),
-        "PT on product state")
-    return "involution and product rule"
-
-
-def check_hermitian_eig(quick: bool) -> str:
-    dim = 32 if quick else 96
-    rng = _rng(14)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = (m + m.conj().T) / 2
-    vals, vecs = hermitian_eig(m)
-    recon = (vecs * vals) @ vecs.conj().T
-    _ok(np.linalg.norm(recon - m) < 1e-10 * dim, "eig reconstruction")
-    _ok(np.all(np.diff(vals) >= -1e-12), "eigenvalues not ascending")
-    try:
-        hermitian_eig(m + 1e-3 * 1j * np.eye(dim))
-    except ValueError:
-        pass
-    else:
-        raise CheckFailure("non-Hermitian input not rejected")
-    return f"d={dim} reconstruction 1e-10"
-
-
-def check_propagator(quick: bool) -> str:
-    h = build_ising(3, 1.0, 0.5).matrix()
-    prop = Propagator(h)
-    u = prop.unitary(1.7)
-    _ok(np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12), "unitarity")
-    _ok(np.allclose(prop.unitary(0.4) @ prop.unitary(1.3), u, atol=1e-12),
-        "composition")
-    z = pauli_matrix("Z")
-    u1 = Propagator(z).unitary(0.9)
-    _ok(np.allclose(u1, np.diag([np.exp(-0.9j), np.exp(0.9j)]), atol=1e-13),
-        "closed form exp(-iZt)")
-    return "unitarity, composition, closed form"
-
-
-def check_entropy_mi(quick: bool) -> str:
-    reg = QubitRegister(("a", "b"))
-    bell = DensityMatrix.pure(np.array([1, 0, 0, 1]) / np.sqrt(2), reg)
-    _ok(abs(von_neumann_entropy(partial_trace(bell, ("a",))) - 1.0) < 1e-12,
-        "Bell marginal entropy")
-    _ok(abs(von_neumann_entropy(bell)) < 1e-12, "pure state entropy")
-    _ok(abs(mutual_information(bell, ("a",), ("b",)) - 2.0) < 1e-12,
-        "Bell mutual information")
-    classical = DensityMatrix(np.diag([0.5, 0, 0, 0.5]).astype(complex), reg)
-    _ok(abs(mutual_information(classical, ("a",), ("b",)) - 1.0) < 1e-12,
-        "classical correlation")
-    rng = _rng(15)
-    prod = DensityMatrix(kron(random_density_matrix(2, rng),
-                              random_density_matrix(2, rng)), reg)
-    _ok(abs(mutual_information(prod, ("a",), ("b",))) < 1e-10,
-        "product state MI")
-    return "Bell (1,0,2), classical 1 bit, product 0"
-
-
-# ------------------------------------------------------------- models ----
-
-def check_pauli_algebra(quick: bool) -> str:
-    rng = _rng(16)
-    labels = models.pauli_basis_labels(3)
-    for _ in range(10 if quick else 30):
-        la = labels[rng.integers(len(labels))]
-        lb = labels[rng.integers(len(labels))]
-        pa, pb = PauliString.from_label(la), PauliString.from_label(lb)
-        prod = pa * pb
-        _ok(np.allclose(prod.dense(), pa.dense() @ pb.dense(), atol=1e-13),
-            f"product {la} * {lb}")
-        comm = pa.dense() @ pb.dense() - pb.dense() @ pa.dense()
-        _ok(pa.commutes_with(pb) == (np.linalg.norm(comm) < 1e-12),
-            f"commutation {la}, {lb}")
-    return "dense product and commutator agreement"
-
-
-def check_ising_matrix(quick: bool) -> str:
-    g, h = 0.7, 0.3
-    x, z = pauli_matrix("X"), pauli_matrix("Z")
-    eye = np.eye(2)
-    expect = (-kron(z, z) - h * (kron(z, eye) + kron(eye, z))
-              - g * (kron(x, eye) + kron(eye, x)))
-    got = build_ising(2, g, h).matrix()
-    _ok(np.allclose(got, expect, atol=1e-13), "n=2 matrix mismatch")
-    h7 = build_ising(5, 1.0, 0.5).matrix()
-    _ok(np.allclose(h7, h7.conj().T, atol=1e-12), "hermiticity")
-    return "explicit n=2 sum, hermitian n=5"
-
-
-def check_jordan_wigner(quick: bool) -> str:
-    n = 2 if quick else 3
-    chis = [jordan_wigner_majorana(i, n).dense()
-            for i in range(1, 2 * n + 1)]
-    eye = np.eye(2 ** n)
-    for i, ci in enumerate(chis):
-        for j, cj in enumerate(chis):
-            anti = ci @ cj + cj @ ci
-            expect = eye if i == j else 0 * eye
-            _ok(np.allclose(anti, expect, atol=1e-12),
-                f"anticommutator ({i + 1},{j + 1})")
-    return f"all {2 * n} modes, {{chi_i, chi_j}} = delta_ij"
-
-
-def check_syk_moments(quick: bool) -> str:
-    h1 = build_syk(3, 1.0, seed=7).matrix()
-    h2 = build_syk(3, 1.0, seed=7).matrix()
-    _ok(np.array_equal(h1, h2), "seeded build not deterministic")
-    _ok(np.allclose(h1, h1.conj().T, atol=1e-12), "hermiticity")
-    # E[tr H^2 / dim] = C(N,4) var / 16 = N J^2 / 64 with chi^2 = 1/2
-    n_seeds = 80 if quick else 400
-    vals = [np.trace(build_syk(3, 1.0, seed=s).matrix()
-                     @ build_syk(3, 1.0, seed=s).matrix()).real / 8
-            for s in range(n_seeds)]
-    expect = 6 * 1.0 / 64
-    got = float(np.mean(vals))
-    tol = (0.25 if quick else 0.12) * expect
-    _ok(abs(got - expect) < tol,
-        f"tr H^2/dim Monte Carlo {got:.4f} vs {expect:.4f}")
-    return f"coupling variance via tr H^2 ({n_seeds} seeds)"
-
-
-def check_scrambler_table(quick: bool) -> str:
-    u = clifford_scrambler_unitary()
-    _ok(np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12), "unitarity")
-    table = {
-        "XII": ("XYY", -1), "YII": ("YZZ", -1), "ZII": ("ZXX", -1),
-        "IXI": ("YXY", -1), "IYI": ("ZYZ", -1), "IZI": ("XZX", -1),
-        "IIX": ("YYX", -1), "IIY": ("ZZY", -1), "IIZ": ("XXZ", -1),
-    }
-    for src, (dst, sign) in table.items():
-        got = u @ pauli_matrix(src) @ u.conj().T
-        _ok(np.allclose(got, sign * pauli_matrix(dst), atol=1e-12),
-            f"{src} -> {sign:+d} {dst}")
-    return "9 single-site conjugations, all weight 3"
-
-
-def check_scan_circuit(quick: bool) -> str:
-    _ok(np.allclose(clifford_scan_unitary(0.0), np.eye(8), atol=1e-12),
-        "U(0) != 1")
-    th = 0.37
-    lhs = clifford_scan_unitary(th + np.pi)
-    rhs = -1j * pauli_matrix("ZZZ") @ clifford_scan_unitary(th)
-    _ok(np.allclose(lhs, rhs, atol=1e-10), "pi shift identity")
-    part = PartitionSpec.leading(3, 1)
-    tmi = tripartite_mutual_information(
-        build_choi(clifford_scan_unitary(np.pi / 2)), part)
-    _ok(abs(tmi.minus_i3 - 2.0) < 1e-9, "-I3 at theta=pi/2 not maximal")
-    return "identity at 0, period pi, maximal at pi/2"
-
-
-def check_haar_moment(quick: bool) -> str:
-    n_samp = 400 if quick else 3000
-    rng = _rng(17)
-    vals = [abs(np.trace(haar_random_unitary(8, rng))) ** 2
-            for _ in range(n_samp)]
-    got = float(np.mean(vals))
-    tol = 4.0 / np.sqrt(n_samp)
-    _ok(abs(got - 1.0) < tol, f"E|tr U|^2 = {got:.3f}, want 1 +- {tol:.3f}")
-    return f"E|tr U|^2 = {got:.3f} over {n_samp} draws"
 
 
 # ----------------------------------------------------------- channels ----
@@ -500,15 +301,6 @@ def check_first_order_agreement(quick: bool) -> str:
     return f"|{res.weight:.8f} - {w_ipm:.8f}| < {WITNESS_TOL}"
 
 
-def check_strategies(quick: bool) -> str:
-    strategies = enumerate_strategies(3, 2)
-    _ok(len(strategies) == 8, "strategy count")
-    _ok(strategies[5].outcomes == (1, 0, 1), "MSB-first ordering")
-    sel = strategies[5].selects(0, 1)
-    _ok(sel == 1.0, "deterministic response")
-    return "2^3 enumeration, index 5 -> (1,0,1)"
-
-
 def check_determinism(quick: bool) -> str:
     rng = _rng(24)
     asm = temporal_assemblage(build_choi(haar_random_unitary(8, rng)),
@@ -519,12 +311,13 @@ def check_determinism(quick: bool) -> str:
     return "bitwise repeatable solve"
 
 
-def scaling_check(dim: int = SCALING_DIM,
-                  budget_s: float = SCALING_BUDGET_S) -> Tuple[float, float]:
-    """Solve one full-rank steering instance of member dimension ``dim``.
+def scaling_check() -> Tuple[float, float]:
+    """Solve one full-rank steerable instance of member dimension
+    ``SCALING_DIM`` within ``SCALING_BUDGET_S``.
 
     Returns (weight, seconds).  Raises on timeout or solver failure.
     """
+    dim = SCALING_DIM
     n = dim.bit_length()           # dim = 2^(n-1) region of an n-qubit system
     rng = _rng(25)
     region = tuple(f"q{i}" for i in range(1, n))
@@ -537,34 +330,23 @@ def scaling_check(dim: int = SCALING_DIM,
         raise CheckFailure(f"d={dim} solve ended {sol.status}")
     if sol.iterations == 0:
         raise CheckFailure(f"d={dim} solve ran no interior-point iteration")
-    if elapsed > budget_s:
+    if elapsed > SCALING_BUDGET_S:
         raise CheckFailure(f"d={dim} solve took {elapsed:.1f}s "
-                           f"(budget {budget_s:.0f}s)")
+                           f"(budget {SCALING_BUDGET_S:.0f}s)")
     return sol.steerable_weight, elapsed
 
 
 def check_scaling_envelope(quick: bool) -> str:
-    dim = 8 if quick else SCALING_DIM
-    weight, elapsed = scaling_check(dim)
-    return f"d={dim} weight {weight:.6f} in {elapsed:.1f}s"
+    # no quick form: the d = 8 draw of this seed is unsteerable (as are 10
+    # of seeds 20-35), so the exact-zero exit settles it before the IPM
+    weight, elapsed = scaling_check()
+    return f"d={SCALING_DIM} weight {weight:.6f} in {elapsed:.1f}s"
 
 
 # ------------------------------------------------------------ registry ----
 
 CHECKS: List[Tuple[str, Callable[[bool], str]]] = [
     ("kron index formula", check_kron_oracle),
-    ("partial trace oracle", check_partial_trace_oracle),
-    ("partial transpose", check_partial_transpose),
-    ("hermitian eigensolve", check_hermitian_eig),
-    ("propagator", check_propagator),
-    ("entropy and mutual information", check_entropy_mi),
-    ("pauli string algebra", check_pauli_algebra),
-    ("ising matrix", check_ising_matrix),
-    ("jordan-wigner anticommutators", check_jordan_wigner),
-    ("syk coupling moments", check_syk_moments),
-    ("scrambler conjugation table", check_scrambler_table),
-    ("scan circuit", check_scan_circuit),
-    ("haar moment", check_haar_moment),
     ("choi consistency", check_choi_consistency),
     ("tripartite mutual information", check_tmi_values),
     ("pdm dual routes", check_pdm_routes),
@@ -577,7 +359,6 @@ CHECKS: List[Tuple[str, Callable[[bool], str]]] = [
     ("exact zero exit", check_exact_zero_exit),
     ("cholesky zero proofs", check_cholesky_zero_proofs),
     ("first-order agreement", check_first_order_agreement),
-    ("strategy enumeration", check_strategies),
     ("determinism", check_determinism),
     ("scaling envelope", check_scaling_envelope),
 ]

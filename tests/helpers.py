@@ -144,3 +144,36 @@ def equality_residual(members, hidden):
     return max(float(np.abs(sum(h for h, s in zip(hidden, strategies)
                                 if s.selects(a, x)) - m).max())
                for x, row in enumerate(members) for a, m in enumerate(row))
+
+
+def random_density_matrix(dim, rng):
+    """Full-rank random density matrix (Wishart / Hilbert-Schmidt style)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+def swap_network(n, pairs):
+    """One layer of disjoint qubit swaps as a permutation unitary.
+
+    ``pairs`` lists 1-based qubit index pairs to exchange; they must be
+    disjoint (a single network layer).  Deeper rearrangements are built by
+    multiplying layers.
+    """
+    seen = set()
+    for a, b in pairs:
+        if a == b or not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"invalid swap pair ({a}, {b})")
+        if a in seen or b in seen:
+            raise ValueError("swap pairs overlap; split into layers")
+        seen.update((a, b))
+    dim = 1 << n
+    src = np.arange(dim)
+    dst = src.copy()
+    for a, b in pairs:
+        ba, bb = n - a, n - b  # bit positions (qubit 1 = msb)
+        flip = ((src >> ba) ^ (src >> bb)) & 1
+        dst = dst ^ (flip << ba) ^ (flip << bb)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[dst, src] = 1.0
+    return mat

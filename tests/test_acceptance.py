@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import conftest
-from helpers import bloch_assemblage, random_steerable_state, tmi_report
+from helpers import (bloch_assemblage, random_steerable_state, swap_network,
+                     tmi_report)
 from qscramble import cli
 from qscramble.channels import (PartitionSpec, build_choi, build_pdm,
                                 haar_scrambled_baseline)
@@ -21,8 +22,7 @@ from qscramble.experiments import (ExperimentConfig, ScramblingReport,
                                    backflow_integral, run_clifford_scan,
                                    run_scan)
 from qscramble.models import (clifford_scrambler_unitary, haar_random_unitary,
-                              pauli_matrix, random_local_unitary,
-                              swap_network)
+                              pauli_matrix, random_local_unitary)
 from qscramble.sdp import first_order_steering_weight, solve_steering_weight
 from qscramble.steering import (MeasurementSet, minus_t3, temporal_assemblage,
                                 total_steerable_weight)

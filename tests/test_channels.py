@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import I2, choi_sandwich
+from helpers import I2, choi_sandwich, swap_network
 from qscramble.channels import (PartitionSpec, build_choi, build_pdm,
                                 haar_scrambled_baseline, reference_labels,
                                 system_labels, tripartite_mutual_information)
 from qscramble.models import (clifford_scrambler_unitary, haar_random_unitary,
-                              random_local_unitary, swap_network)
+                              random_local_unitary)
 from qscramble.qla import mutual_information, partial_trace
 
 CNOT = np.array([[1, 0, 0, 0],

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import I2, PX, PY, PZ
+from helpers import I2, PX, PY, PZ, swap_network
 from qscramble.channels import PartitionSpec
 from qscramble.models import (PauliString, build_ising, build_syk,
                               clifford_scan_unitary,
                               clifford_scrambler_unitary, haar_random_unitary,
                               jordan_wigner_majorana, pauli_basis_labels,
-                              pauli_matrix, random_local_unitary, swap_network)
+                              pauli_matrix, random_local_unitary)
 
 PAULI = {"I": I2, "X": PX, "Y": PY, "Z": PZ}
 
@@ -31,12 +31,16 @@ def test_pauli_basis_labels_complete():
     assert all(len(l) == 2 for l in labels)
 
 
-def test_pauli_string_product_and_matrix():
+def test_pauli_string_product_and_matrix(rng):
     p = PauliString.from_label("XZ") * PauliString.from_label("ZX")
     assert p.label == "YY"
     assert p.coeff == pytest.approx(1.0)
     np.testing.assert_allclose(p.dense(), dense("XZ") @ dense("ZX"),
                                atol=1e-15)
+    for la, lb in rng.choice(pauli_basis_labels(3), size=(30, 2)):
+        prod = PauliString.from_label(la) * PauliString.from_label(lb)
+        np.testing.assert_allclose(prod.dense(), dense(la) @ dense(lb),
+                                   atol=1e-15)
     np.testing.assert_allclose(
         PauliString.from_label("XZ", 2.0).dense(), 2.0 * dense("XZ"))
 
@@ -95,6 +99,11 @@ def test_build_syk_coupling_scale():
     a = build_syk(3, j_coupling=1.0, seed=1).matrix()
     b = build_syk(3, j_coupling=2.5, seed=1).matrix()
     np.testing.assert_allclose(b, 2.5 * a, atol=1e-12)
+    # and sets their variance: with N = 6 Majoranas and chi^2 = 1/2,
+    # E[tr H^2 / dim] = C(N, 4) var / 16 = N J^2 / 64
+    mats = [build_syk(3, 1.0, seed=s).matrix() for s in range(400)]
+    got = np.mean([np.trace(h @ h).real / 8 for h in mats])
+    assert got == pytest.approx(6 / 64, rel=0.12)
     with pytest.raises(ValueError):
         build_syk(1)
 
@@ -112,14 +121,19 @@ def test_haar_random_unitary_determinism():
 
 
 def test_haar_first_moment():
-    # E|u_ij|^2 = 1/d for Haar measure; fixed seed keeps this deterministic
+    # E|u_ij|^2 = 1/d and E|tr U|^2 = 1 for Haar measure; fixed seed keeps
+    # this deterministic
     rng = np.random.default_rng(77)
     acc = np.zeros((3, 3))
+    tr_sq = 0.0
     n_draws = 600
     for _ in range(n_draws):
-        acc += np.abs(haar_random_unitary(3, rng)) ** 2
+        u = haar_random_unitary(3, rng)
+        acc += np.abs(u) ** 2
+        tr_sq += abs(np.trace(u)) ** 2
     np.testing.assert_allclose(acc / n_draws, np.full((3, 3), 1 / 3),
                                atol=0.05)
+    assert tr_sq / n_draws == pytest.approx(1.0, abs=4 / np.sqrt(n_draws))
 
 
 def test_swap_network_single_swap_action():
@@ -197,12 +211,9 @@ def test_clifford_scan_endpoints():
 
 
 def test_clifford_scan_shift_is_local():
-    # U(theta + pi) differs from U(theta) by a phase times Z1 Z2 Z3, so
-    # every witness built on it is exactly pi-periodic
+    # U(theta + pi) = -i Z1 Z2 Z3 U(theta), so every witness built on it
+    # is exactly pi-periodic
     theta = 0.37
     w = clifford_scan_unitary(theta + np.pi) @ \
         clifford_scan_unitary(theta).conj().T
-    zzz = dense("ZZZ")
-    phase = w[0, 0] / zzz[0, 0]
-    assert abs(abs(phase) - 1.0) < 1e-12
-    np.testing.assert_allclose(w, phase * zzz, atol=1e-12)
+    np.testing.assert_allclose(w, -1j * dense("ZZZ"), atol=1e-12)

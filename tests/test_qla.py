@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import random_density_matrix
 from qscramble.qla import (DensityMatrix, Propagator, QubitRegister,
                            hermitian_eig, kron, mutual_information,
                            partial_trace, partial_transpose,
-                           random_density_matrix, von_neumann_entropy)
+                           von_neumann_entropy)
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
@@ -102,8 +103,10 @@ def test_partial_transpose_is_involution(rng):
 
 
 def test_partial_transpose_keeps_product_states_positive(rng):
-    rho = np.kron(random_density_matrix(2, rng), random_density_matrix(2, rng))
-    pt = partial_transpose(DensityMatrix(rho, ["q1", "q2"]), ["q1"])
+    ra, rb = random_density_matrix(2, rng), random_density_matrix(2, rng)
+    pt = partial_transpose(DensityMatrix(np.kron(ra, rb), ["q1", "q2"]),
+                           ["q1"])
+    np.testing.assert_allclose(pt.matrix, np.kron(ra.T, rb), atol=1e-15)
     assert np.linalg.eigvalsh(pt.matrix).min() > -1e-12
 
 
@@ -166,6 +169,7 @@ def test_hermitian_eig_check(rng):
     evals, evecs = hermitian_eig(m + m.conj().T)
     np.testing.assert_allclose(evecs @ np.diag(evals) @ evecs.conj().T,
                                m + m.conj().T, atol=1e-12)
+    assert np.all(np.diff(evals) >= 0.0)
 
 
 def test_random_density_matrix_is_a_state(rng):

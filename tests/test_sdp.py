@@ -559,11 +559,10 @@ def test_zero_exit_at_member_dimension_32():
 
 
 def test_member_data_is_computed_once_per_solve(monkeypatch):
-    # with the Schur cap at zero the exact-zero exit runs its long search
-    # (ZERO_EXIT_ROUNDS = 0 rules out the short one) and zeroes this region
-    # from one least-norm model and one eigensolve of the stacked members
+    # with the Schur cap at zero no route but the exact-zero exit remains;
+    # its search zeroes this region from one least-norm model and one
+    # eigensolve of the stacked members
     members = _ising_region(5, 20.0, ("q3", "q4", "q5"))
-    monkeypatch.setattr(sdp_problem, "ZERO_EXIT_ROUNDS", 0)
     monkeypatch.setattr(sdp_problem, "_SCHUR_BYTE_CAP", 1.0)
     stack = np.stack([m for row in members for m in row])
     selections, member_eigensolves = [], []

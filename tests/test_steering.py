@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import (PZ, equality_residual, evolve_sandwich,
-                     isotropic_assemblage)
+                     isotropic_assemblage, swap_network)
 from qscramble.channels import PartitionSpec, build_choi, system_labels
 from qscramble.models import (build_ising, clifford_scrambler_unitary,
-                              haar_random_unitary, random_local_unitary)
+                              haar_random_unitary, pauli_matrix,
+                              random_local_unitary)
 from qscramble.qla import DensityMatrix, Propagator, partial_trace
 from qscramble.sdp import (NumericalFailure, solve_steering_weight,
                            verify_certificate)
@@ -205,10 +206,30 @@ def test_local_unitary_cannot_scramble(rng):
     assert abs(rec.minus_t3) < 2e-6
 
 
+@pytest.mark.parametrize("theta", [0.3, 0.7, 1.2])
+def test_partly_reduced_ipm_on_a_physical_unitary(theta):
+    # U = exp(-i theta Z2 X3 / 2) SWAP(q1, q2): on C = {q1, q2} Z stays
+    # sharp while X and Y are unsharp with eta = cos(theta), so the solve
+    # runs the IPM on the facially reduced problem with no strategy
+    # eliminated, and TSW_C = 1 - mu* = eta exactly
+    rot = (np.cos(theta / 2) * np.eye(8)
+           - 1j * np.sin(theta / 2) * pauli_matrix("IZX"))
+    choi = build_choi(rot @ swap_network(3, [(1, 2)]))
+    region_c = ("q1", "q2")
+    members = temporal_assemblage(choi, MeasurementSet.pauli(), region_c)
+    sol = solve_steering_weight(members)
+    assert sol.status == "Optimal" and sol.iterations > 0
+    assert sol.reduced and sol.eliminated == ()
+    assert verify_certificate(members, sol)
+    rec = minus_t3(choi, region_c, ("q3",))
+    assert rec.tsw_c == pytest.approx(np.cos(theta), abs=1e-6)
+
+
 def test_ipm_sized_regions_keep_the_short_search(monkeypatch):
-    # at t = 2 region q3 is zeroed after two reflections and the steerable
-    # region q2 q3 spends all ZERO_EXIT_ROUNDS before its IPM solve; no
-    # region the IPM can take gets the long search
+    # every region gets the same budget, MAX_ROUNDS; at t = 2 region q3 is
+    # zeroed after two reflections, and the steerable region q2 q3 halves
+    # its deficit once, at round 2, so it stops ZERO_EXIT_ROUNDS later and
+    # goes on to its IPM solve
     reflect, runs = sdp_problem._reflect, []
 
     def spy(seed, to_null, shift, rounds):
@@ -225,8 +246,8 @@ def test_ipm_sized_regions_keep_the_short_search(monkeypatch):
         for region in (("q3",), ("q2", "q3"))]
     assert zero.iterations == 0 and zero.steerable_weight <= 1e-12
     assert steerable.iterations > 0 and steerable.steerable_weight > 0.05
-    rounds = sdp_problem.ZERO_EXIT_ROUNDS
-    assert runs == [(rounds, 2), (rounds, rounds)]
+    budget, stall = sdp_problem.MAX_ROUNDS, sdp_problem.ZERO_EXIT_ROUNDS
+    assert runs == [(budget, 2), (budget, 2 + stall)]
 
 
 def _ising8_region_d(t):
@@ -305,6 +326,19 @@ def test_minus_t3_bounds_large_region_when_exit_fails(monkeypatch):
     assert sdp_problem.ZERO_EXIT_ROUNDS < ran < rounds
     members = temporal_assemblage(choi, MeasurementSet.pauli(), region_d)
     assert rec.tsw_d == solve_steering_weight(members).steerable_weight
+
+
+def test_stalled_search_past_the_schur_cap_fails_fast():
+    # region D of Ising n=7 --nc 1 (d=64) at t = 2 is past the Schur cap;
+    # its PSD deficit halves once, at round 2, and then stalls, so the
+    # search gives up ZERO_EXIT_ROUNDS reflections later and the region
+    # reads failed
+    prop = Propagator(build_ising(7, 1.0, 0.5).matrix())
+    members = temporal_assemblage(build_choi(prop.unitary(2.0)),
+                                  MeasurementSet.pauli(),
+                                  tuple(f"q{i}" for i in range(2, 8)))
+    with pytest.raises(NumericalFailure, match=" 22 reflections found no"):
+        solve_steering_weight(members)
 
 
 def test_schur_cap_raises_clean_failure(rng, monkeypatch):
