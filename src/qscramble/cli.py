@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import List, Optional
 
 from .channels import PartitionSpec, haar_scrambled_baseline
@@ -52,10 +52,9 @@ def _add_scan_args(sub: argparse.ArgumentParser, model_choices) -> None:
 
 
 def _config_from_args(args, defaults: Optional[dict] = None) -> ExperimentConfig:
-    overrides = {k: getattr(args, k, None) for k in
-                 ("model", "n", "g", "h", "j_coupling", "seed", "n_c",
-                  "t_start", "t_max", "points", "sdp_gap_tol", "jobs",
-                  "unitary_file")}
+    # config fields without a flag, such as measurements, read as None
+    overrides = {f.name: getattr(args, f.name, None)
+                 for f in fields(ExperimentConfig)}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if args.config:
         return ExperimentConfig.from_json(args.config, **overrides)

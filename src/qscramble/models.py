@@ -172,15 +172,12 @@ def pauli_basis_labels(n: int) -> List[str]:
 class HamiltonianSpec:
     """A Hamiltonian as a weighted Pauli-string sum.
 
-    ``matrix()`` materializes (and caches) the dense form.  ``params``
-    records the defining couplings so reports can be reproduced from the
-    spec alone.
+    ``matrix()`` materializes (and caches) the dense form.
     """
 
     name: str
     n_qubits: int
     terms: List[PauliString]
-    params: Dict[str, float] = field(default_factory=dict)
     _matrix: ComplexMatrix = field(default=None, repr=False, compare=False)
 
     def matrix(self) -> ComplexMatrix:
@@ -221,7 +218,7 @@ def build_ising(n: int, g: float, h: float) -> HamiltonianSpec:
             terms.append(PauliString(n, 0, bit, -h))
         if g != 0.0:
             terms.append(PauliString(n, bit, 0, -g))
-    return HamiltonianSpec("ising", n, terms, {"g": g, "h": h})
+    return HamiltonianSpec("ising", n, terms)
 
 
 def jordan_wigner_majorana(index: int, n_qubits: int) -> PauliString:
@@ -265,8 +262,7 @@ def build_syk(n_qubits: int, j_coupling: float = 1.0,
         prod = chis[i - 1] * chis[j - 1] * chis[k - 1] * chis[l - 1]
         prod.coeff *= coupling
         terms.append(prod)
-    return HamiltonianSpec("syk", n_qubits, terms,
-                           {"J": j_coupling, "seed": float(seed)})
+    return HamiltonianSpec("syk", n_qubits, terms)
 
 
 # Fixed 3-qubit scrambling Clifford.  Every single-site Pauli is mapped to
@@ -331,7 +327,9 @@ def random_local_unitary(partition, rng: np.random.Generator) -> ComplexMatrix:
     ``partition`` carries ``region_c`` and ``region_d`` label tuples (as in
     the channel-partition type); each region gets an independent Haar
     unitary of its own dimension, embedded at its qubit positions.  The
-    output never couples C to D, whatever the block sizes.
+    output never couples C to D, whatever the block sizes.  Kept in the
+    package because the witness-gates check of ``qscramble verify``
+    draws its local product from it.
     """
     regions = (tuple(partition.region_c), tuple(partition.region_d))
     positions = [int(lbl[1:]) - 1 for reg in regions for lbl in reg]

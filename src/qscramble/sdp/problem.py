@@ -22,14 +22,16 @@ first use, which every route past the exit forces.
 Assemblages produced by projective measurements at t = 0 are rank
 deficient, so the primal has no interior and a straight interior-point
 run stalls.  The fix implemented here is a facial reduction: each
-sigma_lam is confined to the intersection of the supports of the members
-its strategy selects, slack blocks are confined to the member supports,
-and strategies whose intersection is trivial are eliminated exactly.
-For fully projective assemblages every strategy dies and the weight is
-returned as exactly 1 with a synthesized dual certificate (the second
-exit); for full-rank assemblages the reduction is the identity and adds
-no work.  Whatever remains goes to the interior-point solver, unless its
-reduced Schur system is past ``_SCHUR_BYTE_CAP``.
+sigma_lam is confined to its face, the intersection of the supports of
+the members its strategy selects (the kernel of the sum of their
+complement projectors, one batched eigensolve for all strategies),
+slack blocks are confined to the member supports, and strategies with a
+trivial face are eliminated exactly.  For fully projective assemblages
+every strategy dies and the weight is returned as exactly 1 with a
+synthesized dual certificate (the second exit); for full-rank
+assemblages the reduction is the identity and runs no eigensolve.
+Whatever remains goes to the interior-point solver, unless its reduced
+Schur system is past ``_SCHUR_BYTE_CAP``.
 
 The reflections follow one stop rule at every region size: up to
 ``MAX_ROUNDS`` of them, ending once the PSD deficit has not halved in
@@ -114,26 +116,6 @@ def _support_basis(evals: np.ndarray,
     return np.ascontiguousarray(evecs[:, keep])
 
 
-def _intersect(basis_a: Optional[np.ndarray], basis_b: Optional[np.ndarray],
-               dim: int) -> Optional[np.ndarray]:
-    """Intersection of two subspaces given by orthonormal bases.
-
-    None stands for the full space.  Uses principal angles: directions of
-    B_a^dag B_b with singular value 1 span the intersection.
-    """
-    if basis_a is None:
-        return basis_b
-    if basis_b is None:
-        return basis_a
-    if basis_a.shape[1] == 0 or basis_b.shape[1] == 0:
-        return np.zeros((dim, 0), dtype=complex)
-    u, s, _ = np.linalg.svd(basis_a.conj().T @ basis_b)
-    keep = s > 1.0 - _INTERSECT_TOL
-    if not keep.any():
-        return np.zeros((dim, 0), dtype=complex)
-    return np.ascontiguousarray(basis_a @ u[:, : int(keep.sum())])
-
-
 def _is_empty(basis: Optional[np.ndarray]) -> bool:
     return basis is not None and basis.shape[1] == 0
 
@@ -200,7 +182,7 @@ class SteeringWeightProblem:
     def least_norm(self) -> Tuple[np.ndarray, np.ndarray]:
         """The least-norm model pinv @ members and the null-space
         projector 1 - pinv A."""
-        seed = _hermitian(_apply(self.pinv, self.flat))
+        seed = ipm._herm(_apply(self.pinv, self.flat))
         return seed, np.eye(len(self.pinv)) - self.pinv @ self.a_mat
 
     def _member(self, r: int) -> str:
@@ -231,35 +213,51 @@ class SteeringWeightProblem:
                              "setting marginals differ")
 
     # -- facial reduction -------------------------------------------------
-    def reduce(self):
-        d = self.dim
-        pis = [_support_basis(w, v)
-               for w, v in zip(*np.linalg.eigh(self.flat))]
-        q_bases: List[Optional[np.ndarray]] = []
-        for column in self.a_mat.T:
-            basis: Optional[np.ndarray] = None
-            for r in np.flatnonzero(column):
-                basis = _intersect(basis, pis[r], d)
-                if _is_empty(basis):
-                    break
-            q_bases.append(basis)
-        eliminated = tuple(lam for lam, q in enumerate(q_bases)
-                           if _is_empty(q))
-        return _Reduction(pis, q_bases, eliminated)
+    def reduce(self) -> _Reduction:
+        """Member supports and strategy faces, eigendecomposing only the
+        members that the cached eigenvalues mark as rank deficient.
+
+        A strategy's face, the intersection of the supports of the
+        members it selects, is the kernel of the sum of their complement
+        projectors; one batched eigensolve finds every face.
+        """
+        evals, d = self.eigenvalues, self.dim
+        pis: List[Optional[np.ndarray]] = [None] * len(self.flat)
+        comp = np.zeros_like(self.flat)
+        deficient = np.flatnonzero(
+            evals[:, 0] <= np.maximum(SUPPORT_RTOL * evals[:, -1], DROP_TRACE))
+        if not len(deficient):
+            return _Reduction(pis, [None] * self.a_mat.shape[1], (), comp)
+        for r, w, v in zip(deficient, *np.linalg.eigh(self.flat[deficient])):
+            pis[r] = pi = _support_basis(w, v)
+            if pi is not None:
+                comp[r] = np.eye(d) - pi @ pi.conj().T
+        # a unit vector of one support at principal angle theta to another
+        # has complement weight sin^2 theta ~ 2 (1 - cos theta), so this
+        # is the singular-value test 1 - cos theta < _INTERSECT_TOL
+        w, v = np.linalg.eigh(_apply(self.a_mat.T, comp))
+        ranks = (w < 2 * _INTERSECT_TOL).sum(axis=1)
+        q_bases = [None if k == d else np.ascontiguousarray(vec[:, :k])
+                   for vec, k in zip(v, ranks)]
+        eliminated = tuple(int(lam) for lam in np.flatnonzero(ranks == 0))
+        return _Reduction(pis, q_bases, eliminated, comp)
 
 
 @dataclass
 class _Reduction:
-    """Member supports ``pis`` and strategy supports ``q_bases`` (None is
-    the full space, a (d, 0) basis an eliminated block)."""
+    """Member supports ``pis`` and strategy faces ``q_bases`` (None is
+    the full space, a (d, 0) basis an eliminated block), and the members'
+    complement projectors 1 - Pi Pi^dag as one stack ``comp`` (zero for a
+    full-rank member)."""
 
     pis: List[Optional[np.ndarray]]
     q_bases: List[Optional[np.ndarray]]
     eliminated: Tuple[int, ...]
+    comp: np.ndarray
 
     @property
     def engaged(self) -> bool:
-        return bool(self.eliminated) or any(p is not None for p in self.pis)
+        return bool(self.comp.any())
 
 
 def _embedding(pi: Optional[np.ndarray],
@@ -403,17 +401,13 @@ def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
         cone = (vec * np.maximum(ev, shift)[:, None, :]) \
             @ vec.conj().swapaxes(-1, -2)
         state = state + cone - hidden
-        hidden = _hermitian(seed + _apply(to_null, state))
+        hidden = ipm._herm(seed + _apply(to_null, state))
         lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
         if -lam_min < 0.5 * best:
             best, stale = -lam_min, 0
         else:
             stale += 1
     return hidden, lam_min, tried
-
-
-def _hermitian(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
 
 
 def _apply(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -448,15 +442,10 @@ def _lift_certificate(problem: SteeringWeightProblem, red: _Reduction,
         base[r] = ft if pi is None else pi @ ft @ pi.conj().T
     if not red.engaged:
         return base.reshape(problem.members.shape)
-    comp = np.zeros_like(problem.flat)
-    for r, pi in enumerate(red.pis):
-        if pi is not None:
-            comp[r] = np.eye(problem.dim) - pi @ pi.conj().T
-
     scale = float(np.linalg.norm(base, 2, axis=(1, 2)).max())
     kappa = max(2.0, 2.0 * scale)
     while True:
-        cert = base + kappa * comp
+        cert = base + kappa * red.comp
         worst = _worst_strategy_margin(problem.a_mat, cert)
         if worst >= 1e-9 or kappa > 1e6:
             return cert.reshape(problem.members.shape)
@@ -493,7 +482,7 @@ def verify_certificate(problem, solution: SdpSolution,
     if not np.allclose(cert, cert.conj().swapaxes(-1, -2),
                        atol=1e-8 * scale):
         return False
-    if float(np.linalg.eigvalsh(_hermitian(cert))[:, 0].min()) \
+    if float(np.linalg.eigvalsh(ipm._herm(cert))[:, 0].min()) \
             < -psd_tol * scale:
         return False
     if _worst_strategy_margin(problem.a_mat, cert) < -strategy_tol * scale:

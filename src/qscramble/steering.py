@@ -40,7 +40,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .channels import ChoiState, system_labels
-from .models import haar_random_unitary, pauli_matrix
+from .models import pauli_matrix
 from .sdp import solve_steering_weight
 from .sdp.ipm import DEFAULT_GAP_TOL, NumericalFailure
 
@@ -179,8 +179,6 @@ class WitnessRecord:
     tsw_total: float
     status_c: str = "Optimal"
     status_d: str = "Optimal"
-    gap_c: float = 0.0
-    gap_d: float = 0.0
 
     @property
     def status(self) -> str:
@@ -217,25 +215,4 @@ def minus_t3(choi: ChoiState, region_c: Sequence[str],
     c, d = parts["C"], parts["D"]
     return WitnessRecord(tsw_tot - c.steerable_weight - d.steerable_weight,
                          c.steerable_weight, d.steerable_weight, tsw_tot,
-                         c.status, d.status, c.gap, d.gap)
-
-
-def tsw_unitary_invariance_check(members, seeds=(0, 1, 2),
-                                 gap_tol: float = DEFAULT_GAP_TOL) -> float:
-    """Max |TSW(U sigma U^dag) - TSW(sigma)| over seeded random unitaries.
-
-    ``members`` is a ``(settings, outcomes, d, d)`` assemblage.  The exact
-    invariance of the weight under global unitaries is a theorem; this
-    measures how well the solver honors it and should stay within a few
-    times the duality gap.
-    """
-    members = np.asarray(members, dtype=complex)
-    base = solve_steering_weight(members, gap_tol=gap_tol).steerable_weight
-    worst = 0.0
-    for seed in seeds:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        u = haar_random_unitary(members.shape[-1], rng)
-        w = solve_steering_weight(u @ members @ u.conj().T,
-                                  gap_tol=gap_tol).steerable_weight
-        worst = max(worst, abs(w - base))
-    return worst
+                         c.status, d.status)

@@ -177,15 +177,24 @@ def test_haar_baseline_output(capsys):
 
 
 def test_verify_subcommand_quick_subset(capsys):
-    rc = cli.main(["verify", "--quick", "--only", "kron", "strategies"])
+    rc = cli.main(["verify", "--quick", "--only", "kron", "determinism"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "kron" in out and "PASS" in out
+    assert "[PASS] kron" in out and "[PASS] determinism" in out
+    assert "2/2 checks passed" in out
     header = out.splitlines()[0]
     assert header.startswith("environment: cpu_count=")
     for key in ("OPENBLAS_NUM_THREADS=", "OMP_NUM_THREADS="):
         assert key in header
     assert "backend=" not in header
+
+
+def test_verify_term_matching_no_check_is_a_clean_error(capsys):
+    rc = cli.main(["verify", "--quick", "--only", "kron", "strategies"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: no checks match ['strategies']" in captured.err
+    assert captured.out == ""
 
 
 def test_zero_coupling_without_horizon_is_a_clean_error(capsys):

@@ -8,9 +8,9 @@ import pytest
 
 from helpers import (PX, PY, PZ, bloch_assemblage, equality_residual,
                      isotropic_assemblage, max_step, mixed_rank_assemblage,
-                     random_steerable_state)
+                     random_steerable_state, swap_network)
 from qscramble.channels import build_choi
-from qscramble.models import build_ising
+from qscramble.models import build_ising, pauli_matrix
 from qscramble.qla import Propagator
 from qscramble.sdp import (NumericalFailure, SteeringWeightProblem,
                            first_order_steering_weight,
@@ -653,3 +653,113 @@ def test_negative_member_rejected_before_reduction(monkeypatch):
     assert not reductions
     unchecked = SteeringWeightProblem(_malformed("negative"), validate=False)
     assert unchecked.floor < 0.0
+
+
+def _face_reference(members):
+    """Face projector of every strategy and the eliminated strategies.
+
+    Each member's support keeps the eigenvectors above max(1e-10 lambda_max,
+    1e-12); a strategy's face is the null space, by SVD, of the complement
+    projectors of the members it selects stacked on top of each other.
+    """
+    flat = np.asarray(members, dtype=complex).reshape(
+        -1, *np.shape(members)[-2:])
+    dim = flat.shape[-1]
+    comps = []
+    for m in flat:
+        w, v = np.linalg.eigh(m)
+        keep = v[:, w > max(1e-10 * w[-1], 1e-12)]
+        comps.append(np.eye(dim) - keep @ keep.conj().T)
+    a_mat, _ = selection(*np.shape(members)[:2])
+    faces, eliminated = [], []
+    for lam, column in enumerate(a_mat.T):
+        _, s, vh = np.linalg.svd(np.vstack([comps[r]
+                                            for r in np.flatnonzero(column)]))
+        assert ((s < 1e-6) | (s > 0.1)).all()   # a clean kernel gap
+        null = vh[s < 1e-6].conj().T
+        faces.append(null @ null.conj().T)
+        if not null.shape[1]:
+            eliminated.append(lam)
+    return faces, tuple(eliminated)
+
+
+def _two_qubit_swap_then_cnot():
+    # SWAP, then CNOT with control q2 and target q1 (q1 is the leading bit)
+    cnot = np.eye(4)[:, [0, 3, 2, 1]]
+    return cnot @ swap_network(2, [(1, 2)])
+
+
+def _near_threshold_assemblage(ratio):
+    # sigma_{0|Z} has lambda_min / lambda_max = ratio; the X members are
+    # sharp, so every strategy that keeps a qubit line is eliminated
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    return [[np.diag([1.0, ratio]).astype(complex) / 2,
+             np.diag([0.0, 1.0 - ratio]).astype(complex) / 2],
+            [plus / 2, (np.eye(2) - plus) / 2]]
+
+
+def _region(unitary, region):
+    return temporal_assemblage(build_choi(unitary), MeasurementSet.pauli(),
+                               region)
+
+
+_FACE_CASES = {
+    "mixed-rank-0.2": lambda: mixed_rank_assemblage(0.2),
+    "mixed-rank-0.5": lambda: mixed_rank_assemblage(0.5),
+    # the largest eta at which the noisy settings stay PSD: all six
+    # members are rank deficient
+    "mixed-rank-edge": lambda: mixed_rank_assemblage(1 / (3 * np.sqrt(2))),
+    "identity-q1": lambda: _region(np.eye(8), ("q1",)),
+    "identity-q1q2": lambda: _region(np.eye(8), ("q1", "q2")),
+    "rotated-swap-q1q2": lambda: _region(
+        (np.cos(0.35) * np.eye(8) - 1j * np.sin(0.35) * pauli_matrix("IZX"))
+        @ swap_network(3, [(1, 2)]), ("q1", "q2")),
+    "swap-cnot-q2": lambda: _region(_two_qubit_swap_then_cnot(), ("q2",)),
+    "swap-q1q7-d64": lambda: _region(swap_network(7, [(1, 7)]),
+                                     tuple(f"q{i}" for i in range(2, 8))),
+    "near-threshold-1e-9": lambda: _near_threshold_assemblage(1e-9),
+    "near-threshold-1e-11": lambda: _near_threshold_assemblage(1e-11),
+}
+
+
+@pytest.mark.parametrize("case", list(_FACE_CASES), ids=list(_FACE_CASES))
+def test_reduce_faces_match_stacked_null_space(case):
+    members = _FACE_CASES[case]()
+    # at eta = 0.5 the noisy members of mixed_rank_assemblage have negative
+    # eigenvalues, which validation rejects; their supports are still
+    # defined, by the same rule
+    red = SteeringWeightProblem(members, validate=case != "mixed-rank-0.5"
+                                ).reduce()
+    faces, eliminated = _face_reference(members)
+    assert red.eliminated == eliminated
+    dim = np.shape(members)[-1]
+    for q, face in zip(red.q_bases, faces, strict=True):
+        proj = np.eye(dim) if q is None else q @ q.conj().T
+        np.testing.assert_allclose(proj, face, atol=1e-10)
+
+
+def test_full_rank_solve_reduces_without_eigensolve(monkeypatch):
+    # the one interior-point solve of the ising-n5 scan: its members have
+    # full rank, so the reduction is the identity and decomposes nothing
+    members = _ising_region(5, 1.0, ("q1", "q2"))
+    inside, calls = [], []
+    reduce, eigh = SteeringWeightProblem.reduce, np.linalg.eigh
+
+    def spy_reduce(self):
+        inside.append(True)
+        try:
+            return reduce(self)
+        finally:
+            inside.pop()
+
+    def spy_eigh(a, *args, **kwargs):
+        if inside:
+            calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(SteeringWeightProblem, "reduce", spy_reduce)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    sol = solve_steering_weight(members)
+    assert sol.iterations > 0 and not sol.reduced
+    assert sol.steerable_weight == pytest.approx(0.676, abs=5e-4)
+    assert calls == []

@@ -12,8 +12,8 @@ from qscramble.sdp import (NumericalFailure, solve_steering_weight,
                            verify_certificate)
 from qscramble.sdp import problem as sdp_problem
 from qscramble.steering import (MeasurementSet, minus_t3, temporal_assemblage,
-                                total_steerable_weight,
-                                tsw_unitary_invariance_check)
+                                total_steerable_weight)
+from qscramble.verify import _unitary_invariance_defect
 
 
 def test_pauli_measurement_set():
@@ -176,7 +176,7 @@ def test_total_weight_matches_direct_solve(rng):
 def test_tsw_invariant_under_global_unitary():
     red = temporal_assemblage(build_choi(np.eye(4)), MeasurementSet.pauli(),
                               ("q1",))
-    assert tsw_unitary_invariance_check(red, seeds=(0, 1)) < 1e-6
+    assert _unitary_invariance_defect(red, seeds=(0, 1)) < 1e-6
 
 
 def test_minus_t3_identity_and_scrambler():
