@@ -262,16 +262,11 @@ def _witness_row(t: float, unitary: np.ndarray, partition: PartitionSpec,
                    rec.tsw_c, rec.tsw_d, rec.tsw_total, rec.status)
 
 
-def _scan_rows(config: ExperimentConfig, unitary_of: Callable,
-               times: Sequence[float], progress=None) -> List[ScanRow]:
+def _scan_row(config: ExperimentConfig, unitary_of: Callable,
+              t: float) -> ScanRow:
     partition = PartitionSpec.leading(config.n, config.resolved_n_c())
-    rows = []
-    for t in times:
-        rows.append(_witness_row(t, unitary_of(t), partition,
-                                 config.measurement_set, config.sdp_gap_tol))
-        if progress is not None:
-            progress(len(rows), len(times))
-    return rows
+    return _witness_row(t, unitary_of(t), partition, config.measurement_set,
+                        config.sdp_gap_tol)
 
 
 _worker_state: Dict = {}
@@ -281,9 +276,8 @@ def _scan_worker_init(config: ExperimentConfig, unitary_of: Callable):
     _worker_state.update(config=config, unitary_of=unitary_of)
 
 
-def _scan_worker_chunk(times: Sequence[float]) -> List[ScanRow]:
-    return _scan_rows(_worker_state["config"], _worker_state["unitary_of"],
-                      times)
+def _scan_worker_row(t: float) -> ScanRow:
+    return _scan_row(_worker_state["config"], _worker_state["unitary_of"], t)
 
 
 def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
@@ -291,39 +285,41 @@ def run_scan(config: ExperimentConfig, progress=None) -> ScramblingReport:
 
     The grid is time for the Hamiltonian models and theta for the
     3-qubit Clifford circuit.  ``progress(done, total)``, if given, is
-    called after each grid point, or after each chunk when ``jobs > 1``.
-    With ``jobs > 1`` the grid is split into contiguous chunks handled by
-    at most one worker process per grid point, and the rows come back in
+    called after each grid point.  With ``jobs > 1`` each grid point is
+    one task of a pool of at most one worker process per grid point, so
+    costly points spread over the workers, and the rows come back in
     grid order.  Every row depends on its own time alone, so rows do not
-    depend on the chunking or the grid around them.
+    depend on the worker that computed them.
     """
     if config.model == "unitary-file":
         unitary = load_unitary_file(config.unitary_file)
         config = replace(config, n=unitary.shape[0].bit_length() - 1)
-        return ScramblingReport(config, _scan_rows(config, lambda t: unitary,
-                                                   [0.0], progress))
-    if config.model == "clifford":
-        config = replace(config, n=3)   # the circuit is 3 qubits
-        unitary_of = clifford_scan_unitary
+        unitary_of, times = (lambda t: unitary), [0.0]
     else:
-        unitary_of = model_propagator(config).unitary
-    times = [float(t) for t in np.linspace(
-        config.t_start, config.resolved_t_max(), config.points)]
-    if config.jobs == 1:
-        return ScramblingReport(config, _scan_rows(config, unitary_of, times,
-                                                   progress))
+        if config.model == "clifford":
+            config = replace(config, n=3)   # the circuit is 3 qubits
+            unitary_of = clifford_scan_unitary
+        else:
+            unitary_of = model_propagator(config).unitary
+        times = [float(t) for t in np.linspace(
+            config.t_start, config.resolved_t_max(), config.points)]
+    rows: List[ScanRow] = []
 
-    workers = min(config.jobs, len(times))
-    rows = []
-    with ProcessPoolExecutor(
-            max_workers=workers, initializer=_scan_worker_init,
-            initargs=(config, unitary_of)) as pool:
-        for part in pool.map(_scan_worker_chunk,
-                             [list(map(float, c))
-                              for c in np.array_split(times, workers)]):
-            rows.extend(part)
+    def collect(results):
+        for row in results:
+            rows.append(row)
             if progress is not None:
                 progress(len(rows), len(times))
+
+    if config.jobs == 1 or len(times) == 1:
+        collect(_scan_row(config, unitary_of, t) for t in times)
+    else:
+        with ProcessPoolExecutor(
+                max_workers=min(config.jobs, len(times)),
+                initializer=_scan_worker_init,
+                initargs=(config, unitary_of)) as pool:
+            # map's default chunksize of 1: one grid point per task
+            collect(pool.map(_scan_worker_row, times))
     return ScramblingReport(config, rows)
 
 

@@ -18,31 +18,17 @@ dense materialization writes one diagonal of entries per string.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from .qla import ComplexMatrix, kron
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # Letter -> (x bit, z bit) in the X^x Z^z convention (Y = i X Z).
 _LETTER_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_LETTER = {v: k for k, v in _LETTER_XZ.items()}
-
-
-def _parity(mask: int) -> int:
-    return bin(mask).count("1") & 1
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 class PauliString:
@@ -85,10 +71,6 @@ class PauliString:
             zmask |= bit * z
         return cls(n, xmask, zmask, coeff)
 
-    @classmethod
-    def identity(cls, n: int, coeff: complex = 1.0) -> "PauliString":
-        return cls(n, 0, 0, coeff)
-
     @property
     def label(self) -> str:
         letters = []
@@ -98,65 +80,53 @@ class PauliString:
                                        int(bool(self.zmask & bit)))])
         return "".join(letters)
 
-    @property
-    def weight(self) -> int:
-        return _popcount(self.xmask | self.zmask)
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("Pauli strings act on different register sizes")
         # In the X^x Z^z normal form, commuting Z^z1 through X^x2 costs
         # (-1)^{|z1 & x2|}; each Y contributes a factor i relative to XZ.
-        ny1 = _popcount(self.xmask & self.zmask)
-        ny2 = _popcount(other.xmask & other.zmask)
+        ny1 = (self.xmask & self.zmask).bit_count()
+        ny2 = (other.xmask & other.zmask).bit_count()
         x = self.xmask ^ other.xmask
         z = self.zmask ^ other.zmask
-        ny = _popcount(x & z)
+        ny = (x & z).bit_count()
         phase = (1j) ** ((ny1 + ny2 - ny) % 4)
-        if _parity(self.zmask & other.xmask):
+        if (self.zmask & other.xmask).bit_count() & 1:
             phase = -phase
         return PauliString(self.n, x, z, self.coeff * other.coeff * phase)
 
     def dense(self) -> ComplexMatrix:
         """Materialize as a dense (2^n, 2^n) matrix."""
         dim = 1 << self.n
-        cols = np.arange(dim)
-        signs = 1.0 - 2.0 * (_POPCOUNT_TABLE(self.n)[cols & self.zmask] & 1)
-        vals = (self.coeff * (1j) ** (_popcount(self.xmask & self.zmask) % 4)) * signs
         mat = np.zeros((dim, dim), dtype=complex)
-        mat[cols ^ self.xmask, cols] = vals
+        self.add_to(mat)
         return mat
 
     def add_to(self, mat: ComplexMatrix) -> None:
         """Accumulate the dense form into ``mat`` without a temporary."""
         dim = 1 << self.n
         cols = np.arange(dim)
-        signs = 1.0 - 2.0 * (_POPCOUNT_TABLE(self.n)[cols & self.zmask] & 1)
-        vals = (self.coeff * (1j) ** (_popcount(self.xmask & self.zmask) % 4)) * signs
+        signs = 1.0 - 2.0 * (_popcount_table(self.n)[cols & self.zmask] & 1)
+        ny = (self.xmask & self.zmask).bit_count()
+        vals = (self.coeff * (1j) ** (ny % 4)) * signs
         mat[cols ^ self.xmask, cols] += vals
 
     def __repr__(self) -> str:
         return f"PauliString({self.coeff!r} * {self.label!r})"
 
 
-_popcount_cache: Dict[int, np.ndarray] = {}
-
-
-def _POPCOUNT_TABLE(n: int) -> np.ndarray:
-    table = _popcount_cache.get(n)
-    if table is None:
-        idx = np.arange(1 << n, dtype=np.uint32)
-        table = np.zeros(1 << n, dtype=np.uint8)
-        for b in range(n):
-            table += ((idx >> b) & 1).astype(np.uint8)
-        _popcount_cache[n] = table
+@cache
+def _popcount_table(n: int) -> np.ndarray:
+    """Number of set bits of every n-bit integer."""
+    idx = np.arange(1 << n, dtype=np.uint32)
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        table += ((idx >> b) & 1).astype(np.uint8)
     return table
 
 
 def pauli_matrix(label: str) -> ComplexMatrix:
     """Dense matrix of a Pauli string given by its letters, e.g. "XIZ"."""
-    if len(label) <= 2:
-        return kron(*(_PAULI_1Q[c] for c in label))
     return PauliString.from_label(label).dense()
 
 

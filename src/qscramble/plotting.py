@@ -7,7 +7,7 @@ Output is a single standalone ``<svg>`` document.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -110,12 +110,11 @@ def line_plot_svg(x: Sequence[float], curves: List[Tuple[str, Sequence[float]]],
     return "\n".join(out) + "\n"
 
 
-def write_scan_svg(report, path: str, title: Optional[str] = None) -> None:
+def write_scan_svg(report, path: str) -> None:
     """Plot both witness columns of a scan report to an SVG file."""
     cfg = report.config
     xlabel = "theta" if cfg.model == "clifford" else "t"
-    title = title or (f"{cfg.model} n={cfg.n} "
-                      f"n_c={cfg.resolved_n_c()}")
+    title = f"{cfg.model} n={cfg.n} n_c={cfg.resolved_n_c()}"
     svg = line_plot_svg(
         report.times,
         [("-I3", report.column("minusI3")),

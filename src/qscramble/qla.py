@@ -139,9 +139,6 @@ class DensityMatrix:
         if evals.min() < -1e3 * atol:
             raise ValueError(f"negative eigenvalue {evals.min():.3e}")
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.matrix.copy(), self.register)
-
 
 def kron(*ops: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product of one or more operators, left to right.

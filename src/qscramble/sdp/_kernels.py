@@ -1,8 +1,8 @@
 """Pure NumPy implementations of the solver's hot kernels.
 
-The interior-point solver works in a real vectorization of Hermitian
-matrices ("svec"): for an n x n Hermitian X the coordinates are the n
-diagonal entries, then sqrt(2) * Re X[i,j] for i < j, then
+The interior-point solver, and it alone, works in a real vectorization
+of Hermitian matrices ("svec"): for an n x n Hermitian X the coordinates
+are the n diagonal entries, then sqrt(2) * Re X[i,j] for i < j, then
 sqrt(2) * Im X[i,j] for i < j.  This scaling makes svec an isometry,
 so operator compositions become plain real matrix products.
 
@@ -15,24 +15,18 @@ with index gathers instead of dense basis contractions.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from functools import cache
 
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 
-_idx_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-
+@cache
 def svec_indices(n: int):
     """Cached (diag, upper-row, upper-col) index arrays for size n."""
-    cached = _idx_cache.get(n)
-    if cached is None:
-        diag = np.arange(n)
-        iu, ju = np.triu_indices(n, 1)
-        cached = (diag, iu, ju)
-        _idx_cache[n] = cached
-    return cached
+    iu, ju = np.triu_indices(n, 1)
+    return np.arange(n), iu, ju
 
 
 def svec(x: np.ndarray) -> np.ndarray:

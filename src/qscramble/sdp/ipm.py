@@ -271,10 +271,11 @@ class ConicSolver:
 
 def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
                 gap_tol: float = DEFAULT_GAP_TOL,
-                feas_tol: float = DEFAULT_FEAS_TOL,
                 max_iter: int = DEFAULT_MAX_ITER,
                 callback=None) -> ConicResult:
-    """Run the predictor-corrector iteration to convergence."""
+    """Run the predictor-corrector iteration to convergence: both
+    infeasibilities within ``DEFAULT_FEAS_TOL`` and the relative gap
+    within ``gap_tol``."""
     prob = ConicSolver(var_sizes, con_sizes, c_blocks, b_blocks, rows)
     blocks = _Stacks(prob.var_sizes)
     nu = float(sum(prob.var_sizes))
@@ -329,7 +330,8 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
         history.append((pinf, dinf, rel_gap))
         if callback is not None:
             callback(it, pinf, dinf, rel_gap, mu)
-        if pinf <= feas_tol and dinf <= feas_tol and rel_gap <= gap_tol:
+        if pinf <= DEFAULT_FEAS_TOL and dinf <= DEFAULT_FEAS_TOL \
+                and rel_gap <= gap_tol:
             status = "Optimal"
             break
         if mu < best_mu * 0.9999:
@@ -412,8 +414,8 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
     dobj = _inner(prob.b, y)
     abs_gap = _inner(x, z)
     rel_gap = abs_gap / (1.0 + abs(pobj) + abs(dobj))
-    if status != "Optimal" and pinf <= feas_tol and dinf <= feas_tol \
-            and rel_gap <= gap_tol:
+    if status != "Optimal" and pinf <= DEFAULT_FEAS_TOL \
+            and dinf <= DEFAULT_FEAS_TOL and rel_gap <= gap_tol:
         status = "Optimal"
     return ConicResult(blocks.unstack(x), y, blocks.unstack(z), pobj, dobj,
                        rel_gap, abs_gap, pinf, dinf, it, status, history)

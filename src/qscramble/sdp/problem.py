@@ -26,10 +26,12 @@ sigma_lam is confined to its face, the intersection of the supports of
 the members its strategy selects (the kernel of the sum of their
 complement projectors, one batched eigensolve for all strategies),
 slack blocks are confined to the member supports, and strategies with a
-trivial face are eliminated exactly.  For fully projective assemblages
-every strategy dies and the weight is returned as exactly 1 with a
-synthesized dual certificate (the second exit); for full-rank
-assemblages the reduction is the identity and runs no eigensolve.
+trivial face are eliminated exactly.  Supports and faces are explicit
+orthonormal (d, k) bases, the identity for the full space.  For fully
+projective assemblages every strategy dies and the weight is returned
+as exactly 1 with a synthesized dual certificate (the second exit); for
+full-rank assemblages the reduction is the identity and runs no
+eigensolve.
 Whatever remains goes to the interior-point solver, unless its reduced
 Schur system is past ``_SCHUR_BYTE_CAP``.
 
@@ -75,6 +77,11 @@ ZERO_EXIT_ROUNDS = 20
 #: largest equality residual of a local model the exact-zero exit accepts
 ZERO_EXIT_RESIDUAL = 1e-12
 
+#: margins of :func:`verify_certificate`
+CERT_OBJ_TOL = 1e-6
+CERT_PSD_TOL = 1e-9
+CERT_STRATEGY_TOL = 1e-7
+
 
 @dataclass
 class SdpSolution:
@@ -98,26 +105,15 @@ class SdpSolution:
         return float(min(1.0, max(0.0, 1.0 - self.mu_star)))
 
 
-def _support_basis(evals: np.ndarray,
-                   evecs: np.ndarray) -> Optional[np.ndarray]:
+def _support_basis(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical range of a PSD matrix, from its
-    ascending eigenvalues and eigenvectors.
-
-    Returns None when the matrix has full rank (identity embedding) and a
-    (d, 0) array when it vanishes entirely.
+    ascending eigenvalues and eigenvectors: ``np.eye(d)`` when the matrix
+    has full rank and a (d, 0) array when it vanishes entirely.
     """
-    d = len(evals)
-    top = evals[-1]
-    if top <= DROP_TRACE:
-        return np.zeros((d, 0), dtype=complex)
-    keep = evals > max(SUPPORT_RTOL * top, DROP_TRACE)
+    keep = evals > max(SUPPORT_RTOL * evals[-1], DROP_TRACE)
     if keep.all():
-        return None
+        return np.eye(len(evals), dtype=complex)
     return np.ascontiguousarray(evecs[:, keep])
-
-
-def _is_empty(basis: Optional[np.ndarray]) -> bool:
-    return basis is not None and basis.shape[1] == 0
 
 
 class SteeringWeightProblem:
@@ -222,22 +218,22 @@ class SteeringWeightProblem:
         projectors; one batched eigensolve finds every face.
         """
         evals, d = self.eigenvalues, self.dim
-        pis: List[Optional[np.ndarray]] = [None] * len(self.flat)
+        full = np.eye(d, dtype=complex)
+        pis = [full] * len(self.flat)
         comp = np.zeros_like(self.flat)
         deficient = np.flatnonzero(
             evals[:, 0] <= np.maximum(SUPPORT_RTOL * evals[:, -1], DROP_TRACE))
         if not len(deficient):
-            return _Reduction(pis, [None] * self.a_mat.shape[1], (), comp)
+            return _Reduction(pis, [full] * self.a_mat.shape[1], (), comp)
         for r, w, v in zip(deficient, *np.linalg.eigh(self.flat[deficient])):
             pis[r] = pi = _support_basis(w, v)
-            if pi is not None:
-                comp[r] = np.eye(d) - pi @ pi.conj().T
+            comp[r] = full - pi @ pi.conj().T
         # a unit vector of one support at principal angle theta to another
         # has complement weight sin^2 theta ~ 2 (1 - cos theta), so this
         # is the singular-value test 1 - cos theta < _INTERSECT_TOL
         w, v = np.linalg.eigh(_apply(self.a_mat.T, comp))
         ranks = (w < 2 * _INTERSECT_TOL).sum(axis=1)
-        q_bases = [None if k == d else np.ascontiguousarray(vec[:, :k])
+        q_bases = [full if k == d else np.ascontiguousarray(vec[:, :k])
                    for vec, k in zip(v, ranks)]
         eliminated = tuple(int(lam) for lam in np.flatnonzero(ranks == 0))
         return _Reduction(pis, q_bases, eliminated, comp)
@@ -245,13 +241,13 @@ class SteeringWeightProblem:
 
 @dataclass
 class _Reduction:
-    """Member supports ``pis`` and strategy faces ``q_bases`` (None is
-    the full space, a (d, 0) basis an eliminated block), and the members'
-    complement projectors 1 - Pi Pi^dag as one stack ``comp`` (zero for a
-    full-rank member)."""
+    """Member supports ``pis`` and strategy faces ``q_bases`` as
+    orthonormal (d, k) bases (``np.eye(d)`` is the full space, a (d, 0)
+    basis an eliminated block), and the members' complement projectors
+    1 - Pi Pi^dag as one stack ``comp`` (zero for a full-rank member)."""
 
-    pis: List[Optional[np.ndarray]]
-    q_bases: List[Optional[np.ndarray]]
+    pis: List[np.ndarray]
+    q_bases: List[np.ndarray]
     eliminated: Tuple[int, ...]
     comp: np.ndarray
 
@@ -260,13 +256,13 @@ class _Reduction:
         return bool(self.comp.any())
 
 
-def _embedding(pi: Optional[np.ndarray],
-               q: Optional[np.ndarray]) -> Optional[np.ndarray]:
+def _embedding(pi: np.ndarray, q: np.ndarray) -> Optional[np.ndarray]:
     """Congruence from a strategy's reduced block into a member's; None
-    is the identity."""
-    if pi is None:
-        return q
-    return pi.conj().T if q is None else pi.conj().T @ q
+    when both bases are the full space, the identity congruence that the
+    interior-point solver short-circuits."""
+    if pi.shape[1] == q.shape[1] == len(pi):
+        return None
+    return pi.conj().T @ q
 
 
 def solve_steering_weight(members,
@@ -287,13 +283,12 @@ def solve_steering_weight(members,
     problem.eigenvalues  # rejects a negative member before any solve
     red = problem.reduce()
     d = problem.dim
-    survivors = [lam for lam, q in enumerate(red.q_bases) if not _is_empty(q)]
+    survivors = [lam for lam, q in enumerate(red.q_bases) if q.shape[1]]
     if not survivors:
         return _exact_unit_weight(problem, red)
 
-    kept = [r for r, pi in enumerate(red.pis) if not _is_empty(pi)]
-    con_sizes = [d if red.pis[r] is None else red.pis[r].shape[1]
-                 for r in kept]
+    kept = [r for r, pi in enumerate(red.pis) if pi.shape[1]]
+    con_sizes = [red.pis[r].shape[1] for r in kept]
     schur_dim = sum(s * s for s in con_sizes)
     if schur_dim ** 2 * 8 > _SCHUR_BYTE_CAP:
         raise ipm.NumericalFailure(
@@ -305,8 +300,7 @@ def solve_steering_weight(members,
     # conic blocks: one per surviving strategy, then one slack per kept
     # member; row r reads sum_{lam selects r} sigma_lam + slack_r = sigma_r
     strat_pos = {lam: pos for pos, lam in enumerate(survivors)}
-    var_sizes = [d if red.q_bases[lam] is None else red.q_bases[lam].shape[1]
-                 for lam in survivors]
+    var_sizes = [red.q_bases[lam].shape[1] for lam in survivors]
     c_blocks = [-np.eye(s, dtype=complex) for s in var_sizes]
     b_blocks, rows = [], []
     for r in kept:
@@ -315,7 +309,7 @@ def solve_steering_weight(members,
                      for lam in np.flatnonzero(problem.a_mat[r])
                      if lam in strat_pos]
                     + [(len(survivors) + len(b_blocks), None)])
-        b_blocks.append(m if pi is None else pi.conj().T @ m @ pi)
+        b_blocks.append(pi.conj().T @ m @ pi)
     var_sizes += con_sizes
     c_blocks += [np.zeros((s, s), dtype=complex) for s in con_sizes]
 
@@ -325,8 +319,7 @@ def solve_steering_weight(members,
     mu = float(sum(np.trace(h).real for h in res.x[:len(survivors)]))
     hidden = np.zeros((len(red.q_bases), d, d), dtype=complex)
     for lam, h in zip(survivors, res.x):
-        q = red.q_bases[lam]
-        hidden[lam] = h if q is None else q @ h @ q.conj().T
+        hidden[lam] = red.q_bases[lam] @ h @ red.q_bases[lam].conj().T
 
     # dual certificate: slack-block z is exactly PSD and approximates -y
     certificate = _lift_certificate(
@@ -438,8 +431,7 @@ def _lift_certificate(problem: SteeringWeightProblem, red: _Reduction,
     """
     base = np.zeros_like(problem.flat)
     for r, ft in f_tilde.items():
-        pi = red.pis[r]
-        base[r] = ft if pi is None else pi @ ft @ pi.conj().T
+        base[r] = red.pis[r] @ ft @ red.pis[r].conj().T
     if not red.engaged:
         return base.reshape(problem.members.shape)
     scale = float(np.linalg.norm(base, 2, axis=(1, 2)).max())
@@ -459,16 +451,18 @@ def _worst_strategy_margin(a_mat: np.ndarray, cert: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(totals)[:, 0].min())
 
 
-def verify_certificate(problem, solution: SdpSolution,
-                       obj_tol: float = 1e-6, psd_tol: float = 1e-9,
-                       strategy_tol: float = 1e-7) -> bool:
+def verify_certificate(problem, solution: SdpSolution) -> bool:
     """Check the dual certificate independently of how it was produced.
 
     A valid certificate consists of PSD operators F_{a|x} with
     sum_x F_{a(x)|x} >= 1 for every deterministic strategy; then
     sum_ax tr(F_{a|x} sigma_{a|x}) is an upper bound on mu*, and matching
-    the reported mu* within ``obj_tol`` certifies the weight.  The
-    members and the certificate may each be an array or nested lists.
+    the reported mu* certifies the weight.  The members and the
+    certificate may each be an array or nested lists.  The margins, with
+    s = max(1, largest spectral norm of any F_{a|x}): hermiticity to
+    1e-8 s, every eigenvalue of F_{a|x} at least -``CERT_PSD_TOL`` s and
+    of sum_x F_{a(x)|x} - 1 at least -``CERT_STRATEGY_TOL`` s, and the
+    value within ``CERT_OBJ_TOL`` of mu*.
     """
     if not isinstance(problem, SteeringWeightProblem):
         problem = SteeringWeightProblem(problem, validate=False)
@@ -483,9 +477,10 @@ def verify_certificate(problem, solution: SdpSolution,
                        atol=1e-8 * scale):
         return False
     if float(np.linalg.eigvalsh(ipm._herm(cert))[:, 0].min()) \
-            < -psd_tol * scale:
+            < -CERT_PSD_TOL * scale:
         return False
-    if _worst_strategy_margin(problem.a_mat, cert) < -strategy_tol * scale:
+    if _worst_strategy_margin(problem.a_mat, cert) \
+            < -CERT_STRATEGY_TOL * scale:
         return False
     value = float(np.einsum("rij,rji->", cert, problem.flat).real)
-    return abs(value - solution.mu_star) <= obj_tol
+    return abs(value - solution.mu_star) <= CERT_OBJ_TOL

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import cache
+from typing import List, Tuple
 
 import numpy as np
 
 MAX_STRATEGIES = 4096
-
-_SELECTION_CACHE: Dict[Tuple[int, int], tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,7 @@ def enumerate_strategies(n_settings: int, n_outcomes: int) -> List[Deterministic
     return out
 
 
+@cache
 def selection(n_settings: int, n_outcomes: int):
     """The 0/1 map from strategies to members and its pseudoinverse.
 
@@ -59,10 +59,6 @@ def selection(n_settings: int, n_outcomes: int):
     pseudoinverse of ``a_mat``.  Cached per scenario shape; the arrays
     are read-only.
     """
-    key = (n_settings, n_outcomes)
-    cached = _SELECTION_CACHE.get(key)
-    if cached is not None:
-        return cached
     strategies = enumerate_strategies(n_settings, n_outcomes)
     a_mat = np.zeros((n_settings * n_outcomes, len(strategies)))
     for strat in strategies:
@@ -71,6 +67,4 @@ def selection(n_settings: int, n_outcomes: int):
     pinv = np.linalg.pinv(a_mat)
     a_mat.flags.writeable = False
     pinv.flags.writeable = False
-    cached = (a_mat, pinv)
-    _SELECTION_CACHE[key] = cached
-    return cached
+    return a_mat, pinv

@@ -4,7 +4,10 @@ Each check recomputes an expected value through an independent route
 (index sums, a second construction, closed-form anchors, dual
 certificates, a second solver) and compares it against the production
 code path.  Single-function oracles (partial trace, Pauli algebra, model
-Hamiltonians and the like) live in the unit tests alone.
+Hamiltonians and the like) live in the unit tests alone.  The two
+exact-zero checks share one re-proof of the exit: its status, the
+eigvalsh floor of its model, the equality residual strategy by strategy
+and the certificate.
 ``run_checks(quick=True)`` trims sample counts and problem sizes for use
 inside test runs; both forms time one d = 16 interior-point solve
 against the scaling envelope.
@@ -171,9 +174,10 @@ def check_witness_gates(quick: bool) -> str:
     return "local product ~ 0, scrambler ~ 1"
 
 
-def _unitary_invariance_defect(members: np.ndarray, seeds) -> float:
-    """Max |TSW(U sigma U^dag) - TSW(sigma)| over Haar unitaries drawn
-    with ``seeds``.
+def _unitary_invariance_defect(members: np.ndarray,
+                               seeds) -> Tuple[float, float]:
+    """TSW(sigma) and max |TSW(U sigma U^dag) - TSW(sigma)| over Haar
+    unitaries drawn with ``seeds``.
 
     The exact invariance of the weight under global unitaries is a
     theorem; this measures how well the solver honors it and should stay
@@ -185,7 +189,7 @@ def _unitary_invariance_defect(members: np.ndarray, seeds) -> float:
         u = haar_random_unitary(members.shape[-1], _rng(seed))
         w = solve_steering_weight(u @ members @ u.conj().T).steerable_weight
         worst = max(worst, abs(w - base))
-    return worst
+    return base, worst
 
 
 def check_tsw_invariance(quick: bool) -> str:
@@ -193,9 +197,8 @@ def check_tsw_invariance(quick: bool) -> str:
     asm = temporal_assemblage(build_choi(haar_random_unitary(4, rng)),
                               MeasurementSet.pauli(), ("q1",))
     seeds = (0,) if quick else (0, 1)
-    defect = _unitary_invariance_defect(asm, seeds)
+    base, defect = _unitary_invariance_defect(asm, seeds)
     _ok(defect < WITNESS_TOL, f"unitary invariance defect {defect}")
-    base = solve_steering_weight(asm).steerable_weight
     w_pad = solve_steering_weight(np.kron(asm, np.eye(2) / 2)).steerable_weight
     _ok(abs(w_pad - base) < WITNESS_TOL,
         f"ancilla invariance {w_pad} vs {base}")
@@ -233,19 +236,33 @@ def check_dual_certificates(quick: bool) -> str:
     return "independent dual recheck on two instances"
 
 
+def _reprove_zero(members: np.ndarray, sol, where: str) -> Tuple[float, float]:
+    """Re-prove an exact-zero exit by the routes it skips: the status
+    ``Optimal`` after 0 iterations, the eigvalsh floor of the model, its
+    equality residual summed strategy by strategy, and the I/n_settings
+    certificate.  Returns the floor and the residual."""
+    _ok(sol.status == "Optimal" and sol.iterations == 0,
+        f"{where}: {sol.status} after {sol.iterations} iterations, "
+        "not the exit")
+    psd = float(np.linalg.eigvalsh(sol.hidden_states)[:, 0].min())
+    _ok(psd >= 0.0, f"{where}: hidden state eigenvalue {psd}")
+    strategies = enumerate_strategies(*members.shape[:2])
+    resid = max(
+        float(np.abs(sum(h for h, s in zip(sol.hidden_states, strategies)
+                         if s.selects(a, x)) - m).max())
+        for x, row in enumerate(members) for a, m in enumerate(row))
+    _ok(resid <= 1e-12, f"{where}: equality residual {resid}")
+    _ok(verify_certificate(members, sol), f"{where}: certificate")
+    return psd, resid
+
+
 def check_exact_zero_exit(quick: bool) -> str:
     prop = Propagator(build_ising(5, 1.0, 0.5).matrix())
     asm = temporal_assemblage(build_choi(prop.unitary(20.0)),
                               MeasurementSet.pauli(), ("q3", "q4", "q5"))
     sol = solve_steering_weight(asm)
     weight = sol.steerable_weight
-    _ok(sol.status == "Optimal" and sol.iterations == 0,
-        f"{sol.status} after {sol.iterations} iterations, not the exit")
-    _ok(verify_certificate(asm, sol), "I/n_settings certificate")
-    worst_psd = min(float(np.linalg.eigvalsh(h)[0]) for h in sol.hidden_states)
-    _ok(worst_psd >= 0.0, f"hidden state eigenvalue {worst_psd}")
-    resid = _model_residual(asm, sol.hidden_states)
-    _ok(resid <= 1e-12, f"equality residual {resid}")
+    _, resid = _reprove_zero(asm, sol, f"d={asm.shape[-1]}")
     res = first_order_steering_weight(asm, tol=1e-8)
     _ok(res.converged and abs(res.weight - weight) <= 1e-6,
         f"first-order {res.weight} vs exit {weight}")
@@ -256,27 +273,12 @@ def check_exact_zero_exit(quick: bool) -> str:
                               MeasurementSet.pauli(),
                               tuple(f"q{i}" for i in range(2, 8)))
     sol = solve_steering_weight(big)
-    _ok(sol.status == "Optimal" and sol.iterations == 0
-        and sol.steerable_weight <= 1e-12,
-        f"d=64: {sol.status} weight {sol.steerable_weight}")
-    big_psd = float(np.linalg.eigvalsh(sol.hidden_states)[:, 0].min())
-    _ok(big_psd >= 0.0, f"d=64: hidden state eigenvalue {big_psd}")
-    big_resid = _model_residual(big, sol.hidden_states)
-    _ok(big_resid <= 1e-12, f"d=64: equality residual {big_resid}")
-    _ok(verify_certificate(big, sol), "d=64: I/n_settings certificate")
+    _ok(sol.steerable_weight <= 1e-12,
+        f"d=64: weight {sol.steerable_weight}")
+    big_psd, big_resid = _reprove_zero(big, sol, "d=64")
     return (f"d={asm.shape[-1]} weight {weight:.1e}, residual {resid:.1e}, "
             f"first-order {res.weight:.1e}; d=64 past the Schur cap: "
             f"eigenvalue {big_psd:.1e}, residual {big_resid:.1e}")
-
-
-def _model_residual(members: np.ndarray, hidden: np.ndarray) -> float:
-    """Largest entry of sum_{lam selects (a|x)} sigma_lam - sigma_{a|x},
-    summed strategy by strategy."""
-    strategies = enumerate_strategies(*members.shape[:2])
-    return max(
-        float(np.abs(sum(h for h, s in zip(hidden, strategies)
-                         if s.selects(a, x)) - m).max())
-        for x, row in enumerate(members) for a, m in enumerate(row))
 
 
 def check_cholesky_zero_proofs(quick: bool) -> str:
@@ -290,15 +292,8 @@ def check_cholesky_zero_proofs(quick: bool) -> str:
         choi = build_choi(prop.unitary(t))
         for region in (("q1", "q2"), ("q3", "q4", "q5")):
             asm = temporal_assemblage(choi, MeasurementSet.pauli(), region)
-            sol = solve_steering_weight(asm)
-            where = f"t={t} {'/'.join(region)}"
-            _ok(sol.status == "Optimal" and sol.iterations == 0,
-                f"{where}: {sol.status} after {sol.iterations} iterations")
-            psd = float(np.linalg.eigvalsh(sol.hidden_states)[:, 0].min())
-            _ok(psd >= 0.0, f"{where}: hidden state eigenvalue {psd}")
-            resid = _model_residual(asm, sol.hidden_states)
-            _ok(resid <= 1e-12, f"{where}: equality residual {resid}")
-            _ok(verify_certificate(asm, sol), f"{where}: certificate")
+            psd, resid = _reprove_zero(asm, solve_steering_weight(asm),
+                                       f"t={t} {'/'.join(region)}")
             worst_psd = min(worst_psd, psd)
             worst_resid = max(worst_resid, resid)
     return (f"{2 * len(times)} regions: smallest eigenvalue "
@@ -327,11 +322,14 @@ def check_determinism(quick: bool) -> str:
     return "bitwise repeatable solve"
 
 
-def scaling_check() -> Tuple[float, float]:
+def check_scaling_envelope(quick: bool) -> str:
     """Solve one full-rank steerable instance of member dimension
-    ``SCALING_DIM`` within ``SCALING_BUDGET_S``.
+    ``SCALING_DIM`` by the interior-point method within
+    ``SCALING_BUDGET_S``.
 
-    Returns (weight, seconds).  Raises on timeout or solver failure.
+    There is no quick form: the d = 8 draw of this seed is unsteerable
+    (as are 10 of seeds 20-35), so the exact-zero exit settles it before
+    the interior-point method.
     """
     dim = SCALING_DIM
     n = dim.bit_length()           # dim = 2^(n-1) region of an n-qubit system
@@ -342,21 +340,11 @@ def scaling_check() -> Tuple[float, float]:
     start = time.perf_counter()
     sol = solve_steering_weight(reduced)
     elapsed = time.perf_counter() - start
-    if sol.status != "Optimal":
-        raise CheckFailure(f"d={dim} solve ended {sol.status}")
-    if sol.iterations == 0:
-        raise CheckFailure(f"d={dim} solve ran no interior-point iteration")
-    if elapsed > SCALING_BUDGET_S:
-        raise CheckFailure(f"d={dim} solve took {elapsed:.1f}s "
-                           f"(budget {SCALING_BUDGET_S:.0f}s)")
-    return sol.steerable_weight, elapsed
-
-
-def check_scaling_envelope(quick: bool) -> str:
-    # no quick form: the d = 8 draw of this seed is unsteerable (as are 10
-    # of seeds 20-35), so the exact-zero exit settles it before the IPM
-    weight, elapsed = scaling_check()
-    return f"d={SCALING_DIM} weight {weight:.6f} in {elapsed:.1f}s"
+    _ok(sol.status == "Optimal", f"d={dim} solve ended {sol.status}")
+    _ok(sol.iterations > 0, f"d={dim} solve ran no interior-point iteration")
+    _ok(elapsed <= SCALING_BUDGET_S, f"d={dim} solve took {elapsed:.1f}s "
+        f"(budget {SCALING_BUDGET_S:.0f}s)")
+    return f"d={dim} weight {sol.steerable_weight:.6f} in {elapsed:.1f}s"
 
 
 # ------------------------------------------------------------ registry ----
@@ -387,8 +375,8 @@ def environment_line() -> str:
     return f"environment: cpu_count={os.cpu_count()} {threads}"
 
 
-def run_checks(quick: bool = False, names: Optional[List[str]] = None,
-               printer: Callable[[str], None] = print) -> bool:
+def run_checks(quick: bool = False,
+               names: Optional[List[str]] = None) -> bool:
     """Run the invariant suite; returns True when every check passes.
 
     ``names`` keeps the checks whose names contain one of its terms, and
@@ -400,7 +388,7 @@ def run_checks(quick: bool = False, names: Optional[List[str]] = None,
                 if names is None or any(s in n for s in names)]
     if unmatched or not selected:
         raise ValueError(f"no checks match {unmatched or names}")
-    printer(environment_line())
+    print(environment_line())
     n_fail = 0
     for name, fn in selected:
         start = time.perf_counter()
@@ -416,8 +404,8 @@ def run_checks(quick: bool = False, names: Optional[List[str]] = None,
             status = "FAIL"
             n_fail += 1
         dt = time.perf_counter() - start
-        printer(f"[{status}] {name} ({dt:.2f}s): {detail}")
+        print(f"[{status}] {name} ({dt:.2f}s): {detail}")
     total = len(selected)
-    printer(f"{total - n_fail}/{total} checks passed"
+    print(f"{total - n_fail}/{total} checks passed"
             + (f", {n_fail} FAILED" if n_fail else ""))
     return n_fail == 0

@@ -118,9 +118,10 @@ def mixed_rank_assemblage(eta=0.2):
     """Qutrit assemblage whose facial reduction leaves blocks of sizes 1-3.
 
     Setting 0 splits I/3 into a rank-2 and a rank-1 member; settings 1
-    and 2 are full-rank noisy splits along traceless Hermitian
-    directions.  No strategy is eliminated, so strategy blocks have sizes
-    2 and 1 and slack blocks sizes 2, 1 and 3.
+    and 2 are noisy splits along traceless Hermitian directions, PSD only
+    for eta <= 1/(3 sqrt 2) and full rank below it.  No strategy is
+    eliminated, so strategy blocks have sizes 2 and 1 and slack blocks
+    sizes 2, 1 and 3.
     """
     def offdiag(i, j, phase):
         m = np.zeros((3, 3), dtype=complex)

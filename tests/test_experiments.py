@@ -136,7 +136,8 @@ def test_run_scan_worker_pool_reports_progress():
     cfg = ExperimentConfig(model="ising", n=3, g=1.0, h=0.5, points=6,
                            t_max=3.0, jobs=2)
     run_scan(cfg, progress=lambda done, total: calls.append((done, total)))
-    assert calls and calls[-1] == (6, 6)
+    # one call per grid point, as in a single-process scan
+    assert calls == [(k, 6) for k in range(1, 7)]
 
 
 def test_run_scan_from_unitary_file(tmp_path, rng):
@@ -218,7 +219,7 @@ def test_run_scan_caps_workers_at_grid_size(monkeypatch):
 
     class InProcessPool:
         """ProcessPoolExecutor stand-in: records its worker count and runs
-        the chunks in this process, so the test starts no process."""
+        the grid points in this process, so the test starts no process."""
 
         def __init__(self, max_workers, initializer, initargs):
             workers.append(max_workers)
@@ -230,8 +231,8 @@ def test_run_scan_caps_workers_at_grid_size(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            return map(fn, chunks)
+        def map(self, fn, times):
+            return map(fn, times)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiments, "_worker_state", {})

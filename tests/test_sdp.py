@@ -479,6 +479,17 @@ def test_solvers_never_import_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_first_order_oracle_binds_nothing_from_the_ipm():
+    # the oracle is a second route only if it shares no svec coordinates,
+    # kernels or conic solver with the interior-point path
+    from qscramble.sdp import firstorder
+    foreign = {"qscramble.sdp._kernels", "qscramble.sdp.ipm"}
+    bound = sorted(name for name, obj in vars(firstorder).items()
+                   if getattr(obj, "__module__", None) in foreign
+                   or getattr(obj, "__name__", None) in foreign)
+    assert bound == []
+
+
 def _ising_region(n, t, region):
     prop = Propagator(build_ising(n, 1.0, 0.5).matrix())
     return temporal_assemblage(build_choi(prop.unitary(t)),
@@ -732,10 +743,20 @@ def test_reduce_faces_match_stacked_null_space(case):
                                 ).reduce()
     faces, eliminated = _face_reference(members)
     assert red.eliminated == eliminated
-    dim = np.shape(members)[-1]
     for q, face in zip(red.q_bases, faces, strict=True):
-        proj = np.eye(dim) if q is None else q @ q.conj().T
-        np.testing.assert_allclose(proj, face, atol=1e-10)
+        np.testing.assert_allclose(q @ q.conj().T, face, atol=1e-10)
+
+
+def test_vanishing_member_leaves_the_weight_unchanged():
+    # a zero third effect per setting: its member has an empty support, and
+    # the 19 of 27 strategies that ever answer it are eliminated exactly
+    base = isotropic_assemblage(0.8, [PX, PY, PZ])
+    padded = [row + [np.zeros((2, 2), dtype=complex)] for row in base]
+    sol = solve_steering_weight(padded)
+    assert sol.steerable_weight == solve_steering_weight(base).steerable_weight
+    assert sol.steerable_weight == pytest.approx(mub_weight(3, 0.8), abs=5e-7)
+    assert verify_certificate(padded, sol)
+    assert sol.reduced and len(sol.eliminated) == 19
 
 
 def test_full_rank_solve_reduces_without_eigensolve(monkeypatch):
