@@ -117,11 +117,13 @@ class PauliString:
 
 @cache
 def _popcount_table(n: int) -> np.ndarray:
-    """Number of set bits of every n-bit integer."""
+    """Number of set bits of every n-bit integer, read-only because
+    every caller shares the table."""
     idx = np.arange(1 << n, dtype=np.uint32)
     table = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
         table += ((idx >> b) & 1).astype(np.uint8)
+    table.flags.writeable = False
     return table
 
 

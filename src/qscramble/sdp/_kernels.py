@@ -24,9 +24,12 @@ _SQRT2 = np.sqrt(2.0)
 
 @cache
 def svec_indices(n: int):
-    """Cached (diag, upper-row, upper-col) index arrays for size n."""
-    iu, ju = np.triu_indices(n, 1)
-    return np.arange(n), iu, ju
+    """Cached (diag, upper-row, upper-col) index arrays for size n,
+    read-only because every caller shares them."""
+    out = (np.arange(n),) + np.triu_indices(n, 1)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def svec(x: np.ndarray) -> np.ndarray:

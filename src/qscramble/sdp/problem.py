@@ -8,16 +8,18 @@ The steerable weight of an assemblage {sigma_{a|x}} is 1 - mu* with
 
 over deterministic strategies lam.
 
-Two exits settle the common extremes exactly, without an interior-point
-iteration.  An unsteerable assemblage has a local model of mass 1; the
-exact-zero exit looks for one (the least-norm solution of the equality
-constraints, refined by averaged reflections if it is not PSD) and
-returns TSW = 0 with the dual certificate F_{a|x} = I/n_settings.  It
-runs first, at any member dimension.  When the least-norm model is
-positive definite one batched Cholesky factorization proves it, and no
-member or model is eigensolved: the member eigenvalues, and with them
-the check that no member has a negative eigenvalue, are computed on
-first use, which every route past the exit forces.
+Exits settle the common extremes exactly, without an interior-point
+iteration.  An unsteerable assemblage has a local model of mass 1, and
+one prover, :func:`_prove_local_model`, accepts every exact zero by a
+batched Cholesky factorization of the model (on the strategy faces when
+given) and its equality residual, and returns mu* = 1.0, TSW = 0 and
+the dual certificate F_{a|x} = I/n_settings.  Its candidates, in order:
+the least-norm model, at any member dimension and with no eigensolve;
+the last iterate of averaged reflections, when every member has full
+rank; and, after the facial reduction, the least-norm model on the
+faces.  The member eigenvalues, and with them the check that no member
+has a negative eigenvalue, are computed on first use, which every route
+past the first candidate forces.
 
 Assemblages produced by projective measurements at t = 0 are rank
 deficient, so the primal has no interior and a straight interior-point
@@ -29,18 +31,17 @@ slack blocks are confined to the member supports, and strategies with a
 trivial face are eliminated exactly.  Supports and faces are explicit
 orthonormal (d, k) bases, the identity for the full space.  For fully
 projective assemblages every strategy dies and the weight is returned
-as exactly 1 with a synthesized dual certificate (the second exit); for
+as exactly 1 with a synthesized dual certificate (the unit exit); for
 full-rank assemblages the reduction is the identity and runs no
-eigensolve.
-Whatever remains goes to the interior-point solver, unless its reduced
-Schur system is past ``_SCHUR_BYTE_CAP``.
+eigensolve.  Whatever the face zero leaves goes to the interior-point
+solver, unless its reduced Schur system is past ``_SCHUR_BYTE_CAP``.
 
 The reflections follow one stop rule at every region size: up to
 ``MAX_ROUNDS`` of them, ending once the PSD deficit has not halved in
 ``ZERO_EXIT_ROUNDS`` rounds.  A search that keeps halving runs on, which
 is what settles large regions with no other route; one that stalls
 gives up ``ZERO_EXIT_ROUNDS`` rounds after its last halving.  A region
-past the cap that the search cannot zero raises
+past the cap that no candidate zeroes raises
 :class:`ipm.NumericalFailure`, so every weight returned carries a dual
 certificate.  :func:`solve_steering_weight` is the one entry point and
 takes every exit in that order.
@@ -271,10 +272,10 @@ def solve_steering_weight(members,
 
     ``members`` is a ``(settings, outcomes, d, d)`` array or the same
     nested as lists.  In order: the exact zero, facial reduction with the
-    exact unit weight (both ``iterations == 0``) and the interior-point
-    solve.  A reduced Schur system past the memory cap raises
-    :class:`ipm.NumericalFailure`.  Returns an :class:`SdpSolution`; the
-    weight itself is ``solution.steerable_weight``.
+    exact unit weight and the face zero (all ``iterations == 0``), and
+    the interior-point solve.  A reduced Schur system past the memory cap
+    raises :class:`ipm.NumericalFailure`.  Returns an
+    :class:`SdpSolution`; the weight itself is ``solution.steerable_weight``.
     """
     problem = SteeringWeightProblem(members)
     zero = _exact_zero_weight(problem)
@@ -286,6 +287,10 @@ def solve_steering_weight(members,
     survivors = [lam for lam, q in enumerate(red.q_bases) if q.shape[1]]
     if not survivors:
         return _exact_unit_weight(problem, red)
+    if red.engaged:
+        zero = _prove_local_model(problem, problem.least_norm[0], red.q_bases)
+        if zero is not None:
+            return zero
 
     kept = [r for r, pi in enumerate(red.pis) if pi.shape[1]]
     con_sizes = [red.pis[r].shape[1] for r in kept]
@@ -333,46 +338,57 @@ def _exact_zero_weight(problem: SteeringWeightProblem
                        ) -> Optional[SdpSolution]:
     """A local model of mass 1, which makes mu* = 1 and TSW = 0 exactly.
 
-    The least-norm solution sigma_lam = sum_r pinv[lam, r] sigma_r of the
-    equalities sum_{lam selects r} sigma_lam = sigma_r holds exactly for
-    any no-signalling assemblage.  One batched Cholesky factorization
-    proves its states positive definite when they are, and then neither
-    the members nor the model are eigensolved.  Otherwise the member
-    eigenvalues are read (which rejects a negative member), and when
-    every member has full rank averaged reflections between that affine
-    set and the shrunken cone {sigma >= eps I} look for a PSD point of
-    the affine set.  The search gets the same budget at every region
-    size: at most ``MAX_ROUNDS`` reflections, ending once the PSD
-    deficit has not halved in ``ZERO_EXIT_ROUNDS`` of them.
-    A PSD model that meets the equalities proves mu* >= 1, and
-    F_{a|x} = I/n_settings is dual feasible with value
-    sum_x tr(sum_a sigma_{a|x})/n_settings = 1, which proves mu* <= 1.
-    Returns None when no such model turns up; the number of reflections
-    run is left in ``problem.reflections``.
-
-    An accepted model leaves every member above -d * ZERO_EXIT_RESIDUAL,
-    so skipping the member eigenvalues never accepts a member that
-    validation would reject.
+    The least-norm solution sigma_lam = sum_r pinv[lam, r] sigma_r meets
+    the equalities sum_{lam selects r} sigma_lam = sigma_r of any
+    no-signalling assemblage, and :func:`_prove_local_model` tries it
+    first.  When that fails and every member has full rank (which reads
+    the member eigenvalues), the prover tries the last iterate of
+    :func:`_reflect` from it.  Returns None when neither is proved; the
+    reflections run are counted in ``problem.reflections``.
     """
     seed, to_null = problem.least_norm
+    zero = _prove_local_model(problem, seed)
+    if zero is None and problem.floor > 0.0:
+        iterate, problem.reflections = _reflect(
+            seed, to_null, 1e-3 * problem.floor / len(seed), MAX_ROUNDS)
+        zero = _prove_local_model(problem, iterate)
+    return zero
+
+
+def _prove_local_model(problem: SteeringWeightProblem, model: np.ndarray,
+                       faces: Optional[List[np.ndarray]] = None
+                       ) -> Optional[SdpSolution]:
+    """Prove ``model``, an (L, d, d) stack, a local model of mass 1:
+    mu* is the literal 1.0 and TSW = 0 exactly.  None if it is not.
+
+    With ``faces`` each state is first compressed onto its strategy's
+    face (an empty face holds the zero state) and the lifted model is
+    proved.  One batched Cholesky per block size proves the blocks
+    positive definite, and an equality residual of at most
+    ``ZERO_EXIT_RESIDUAL`` then proves mu* >= 1; F_{a|x} = I/n_settings
+    is dual feasible with value 1, which proves mu* <= 1.  The residual
+    keeps every member above -d * ZERO_EXIT_RESIDUAL, so a proof that
+    reads no member eigenvalue accepts no member validation rejects.
+    """
+    blocks, lifted = [model], model
+    if faces is not None:
+        blocks, lifted = [], np.zeros_like(model)
+        for k in {q.shape[1] for q in faces} - {0}:
+            idx = [lam for lam, q in enumerate(faces) if q.shape[1] == k]
+            q = np.stack([faces[lam] for lam in idx])
+            blocks.append(q.conj().swapaxes(1, 2) @ model[idx] @ q)
+            lifted[idx] = q @ blocks[-1] @ q.conj().swapaxes(1, 2)
     try:
-        np.linalg.cholesky(seed)
-        hidden = seed
+        for block in blocks:
+            np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
-        floor = problem.floor
-        eps = 1e-3 * floor / len(seed)
-        rounds = MAX_ROUNDS if floor > 0.0 else 0
-        hidden, lam_min, problem.reflections = _reflect(seed, to_null, eps,
-                                                        rounds)
-        if lam_min < 0.0:
-            return None
-    resid = _apply(problem.a_mat, hidden) - problem.flat
-    if np.abs(resid).max() > ZERO_EXIT_RESIDUAL:
         return None
-    mu = float(np.trace(hidden, axis1=1, axis2=2).real.sum())
+    if np.abs(_apply(problem.a_mat, lifted) - problem.flat).max() \
+            > ZERO_EXIT_RESIDUAL:
+        return None
     f = np.eye(problem.dim, dtype=complex) / problem.n_settings
     certificate = np.tile(f, (problem.n_settings, problem.n_outcomes, 1, 1))
-    return SdpSolution(mu, hidden, certificate, "Optimal", 0.0, 0)
+    return SdpSolution(1.0, lifted, certificate, "Optimal", 0.0, 0)
 
 
 def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
@@ -383,7 +399,7 @@ def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
     Stops once the affine-exact iterate is PSD, after ``rounds``
     reflections, or when its smallest eigenvalue has not halved its
     deficit for ``ZERO_EXIT_ROUNDS`` rounds.  Returns the affine-exact
-    iterate, its smallest eigenvalue and the number of reflections run.
+    iterate and the number of reflections run.
     """
     state = hidden = seed
     lam_min = np.linalg.eigvalsh(hidden)[:, 0].min()
@@ -400,7 +416,7 @@ def _reflect(seed: np.ndarray, to_null: np.ndarray, shift: float,
             best, stale = -lam_min, 0
         else:
             stale += 1
-    return hidden, lam_min, tried
+    return hidden, tried
 
 
 def _apply(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -3,11 +3,11 @@
 Each check recomputes an expected value through an independent route
 (index sums, a second construction, closed-form anchors, dual
 certificates, a second solver) and compares it against the production
-code path.  Single-function oracles (partial trace, Pauli algebra, model
-Hamiltonians and the like) live in the unit tests alone.  The two
-exact-zero checks share one re-proof of the exit: its status, the
-eigvalsh floor of its model, the equality residual strategy by strategy
-and the certificate.
+code path.  Single-function oracles (kron, partial trace, Pauli algebra,
+model Hamiltonians and the like) live in the unit tests alone.  The two
+exact-zero checks share one re-proof of the exit: its status, a weight
+of exactly 0, the eigvalsh floor of its model, the equality residual
+strategy by strategy and the certificate.
 ``run_checks(quick=True)`` trims sample counts and problem sizes for use
 inside test runs; both forms time one d = 16 interior-point solve
 against the scaling envelope.
@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .qla import kron, partial_trace, Propagator, mutual_information
+from .qla import partial_trace, Propagator, mutual_information
 from .models import (build_ising, clifford_scrambler_unitary,
                      haar_random_unitary, random_local_unitary)
 from .channels import (PartitionSpec, build_choi, build_pdm,
@@ -50,26 +50,6 @@ def _ok(cond: bool, msg: str) -> None:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-# ---------------------------------------------------------------- qla ----
-
-def check_kron_oracle(quick: bool) -> str:
-    rng = _rng(11)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    ab = kron(a, b)
-    for i in range(2):
-        for j in range(2):
-            for k in range(3):
-                for l in range(3):
-                    _ok(abs(ab[i * 3 + k, j * 3 + l] - a[i, j] * b[k, l])
-                        < 1e-13, "kron entry mismatch")
-    lhs = kron(a, b, c)
-    rhs = kron(kron(a, b), c)
-    _ok(np.allclose(lhs, rhs, atol=1e-12), "kron associativity")
-    return "entry formula and associativity"
 
 
 # ----------------------------------------------------------- channels ----
@@ -154,11 +134,11 @@ def check_tsw_anchors(quick: bool) -> str:
     _ok(w_q1 == 1.0, f"projective TSW {w_q1} != 1 exactly")
     sol = solve_steering_weight(
         temporal_assemblage(choi, ms, ("q2", "q3")))
-    w_rest = sol.steerable_weight
-    _ok(w_rest <= 1e-12 and sol.iterations == 0,
-        f"untouched region TSW {w_rest} after {sol.iterations} iterations")
+    _ok(sol.steerable_weight == 0.0 and sol.mu_star == 1.0
+        and sol.iterations == 0, f"untouched region TSW "
+        f"{sol.steerable_weight} after {sol.iterations} iterations")
     _ok(total_steerable_weight(ms) == 1.0, "TSW total != 1 exactly")
-    return "t=0 anchors: 1 exact, 0 within 1e-12, total 1 exact"
+    return "t=0 anchors: 1 exact, 0 exact, total 1 exact"
 
 
 def check_witness_gates(quick: bool) -> str:
@@ -238,12 +218,13 @@ def check_dual_certificates(quick: bool) -> str:
 
 def _reprove_zero(members: np.ndarray, sol, where: str) -> Tuple[float, float]:
     """Re-prove an exact-zero exit by the routes it skips: the status
-    ``Optimal`` after 0 iterations, the eigvalsh floor of the model, its
-    equality residual summed strategy by strategy, and the I/n_settings
-    certificate.  Returns the floor and the residual."""
-    _ok(sol.status == "Optimal" and sol.iterations == 0,
-        f"{where}: {sol.status} after {sol.iterations} iterations, "
-        "not the exit")
+    ``Optimal`` after 0 iterations with mu* exactly 1, the eigvalsh floor
+    of the model, its equality residual summed strategy by strategy, and
+    the I/n_settings certificate.  Returns the floor and the residual."""
+    _ok(sol.status == "Optimal" and sol.iterations == 0
+        and sol.mu_star == 1.0 and sol.steerable_weight == 0.0,
+        f"{where}: {sol.status} after {sol.iterations} iterations with "
+        f"mu* {sol.mu_star!r}, not an exact zero")
     psd = float(np.linalg.eigvalsh(sol.hidden_states)[:, 0].min())
     _ok(psd >= 0.0, f"{where}: hidden state eigenvalue {psd}")
     strategies = enumerate_strategies(*members.shape[:2])
@@ -272,10 +253,7 @@ def check_exact_zero_exit(quick: bool) -> str:
     big = temporal_assemblage(build_choi(prop.unitary(4.0)),
                               MeasurementSet.pauli(),
                               tuple(f"q{i}" for i in range(2, 8)))
-    sol = solve_steering_weight(big)
-    _ok(sol.steerable_weight <= 1e-12,
-        f"d=64: weight {sol.steerable_weight}")
-    big_psd, big_resid = _reprove_zero(big, sol, "d=64")
+    big_psd, big_resid = _reprove_zero(big, solve_steering_weight(big), "d=64")
     return (f"d={asm.shape[-1]} weight {weight:.1e}, residual {resid:.1e}, "
             f"first-order {res.weight:.1e}; d=64 past the Schur cap: "
             f"eigenvalue {big_psd:.1e}, residual {big_resid:.1e}")
@@ -350,7 +328,6 @@ def check_scaling_envelope(quick: bool) -> str:
 # ------------------------------------------------------------ registry ----
 
 CHECKS: List[Tuple[str, Callable[[bool], str]]] = [
-    ("kron index formula", check_kron_oracle),
     ("choi consistency", check_choi_consistency),
     ("tripartite mutual information", check_tmi_values),
     ("pdm dual routes", check_pdm_routes),

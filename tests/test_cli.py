@@ -177,10 +177,10 @@ def test_haar_baseline_output(capsys):
 
 
 def test_verify_subcommand_quick_subset(capsys):
-    rc = cli.main(["verify", "--quick", "--only", "kron", "determinism"])
+    rc = cli.main(["verify", "--quick", "--only", "choi", "determinism"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "[PASS] kron" in out and "[PASS] determinism" in out
+    assert "[PASS] choi" in out and "[PASS] determinism" in out
     assert "2/2 checks passed" in out
     header = out.splitlines()[0]
     assert header.startswith("environment: cpu_count=")
@@ -190,7 +190,7 @@ def test_verify_subcommand_quick_subset(capsys):
 
 
 def test_verify_term_matching_no_check_is_a_clean_error(capsys):
-    rc = cli.main(["verify", "--quick", "--only", "kron", "strategies"])
+    rc = cli.main(["verify", "--quick", "--only", "choi", "strategies"])
     assert rc == 2
     captured = capsys.readouterr()
     assert "error: no checks match ['strategies']" in captured.err

@@ -50,9 +50,13 @@ def test_density_matrix_validate_rejects_bad_states():
 
 
 def test_kron_matches_numpy_chain(rng):
-    a = rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3))
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     c = rng.normal(size=(2, 2))
+    # entry formula: kron(a, b)[i * 3 + k, j * 3 + l] = a[i, j] b[k, l]
+    np.testing.assert_allclose(kron(a, b).reshape(2, 3, 2, 3),
+                               np.einsum("ij,kl->ikjl", a, b),
+                               rtol=0, atol=1e-13)
     np.testing.assert_allclose(kron(a, b, c), np.kron(np.kron(a, b), c))
 
 

@@ -181,6 +181,18 @@ def test_selection_matches_strategy_enumeration(n_settings, n_outcomes):
             arr[0, 0] = 0.5
 
 
+def test_cached_index_tables_are_read_only():
+    # every later svec/smat or Pauli build shares these cached arrays, so
+    # an in-place write into one must raise instead of corrupting them
+    from qscramble.models import _popcount_table
+    for arr in _kernels.svec_indices(4) + (_popcount_table(3),):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr += 1
+    np.testing.assert_array_equal(_kernels.svec_indices(4)[0], range(4))
+    np.testing.assert_array_equal(_popcount_table(3), [0, 1, 1, 2, 1, 2, 2, 3])
+
+
 def test_strategy_margin_matches_per_strategy_loop(rng):
     # the selection-matrix contraction sums the same operators as the
     # per-strategy loop, in another order: tolerance set from float64
@@ -510,7 +522,7 @@ def test_zero_exit_certifies_ising_grid_point(n, region):
     assert not sol.reduced and not sol.eliminated
     assert min(np.linalg.eigvalsh(h)[0] for h in sol.hidden_states) >= 0.0
     assert equality_residual(members, sol.hidden_states) <= 1e-12
-    assert sol.steerable_weight <= 1e-12
+    assert sol.steerable_weight == 0.0
     assert verify_certificate(members, sol)
     for row in sol.dual_certificate:
         for f in row:
@@ -565,7 +577,7 @@ def test_zero_exit_at_member_dimension_32():
     sol = solve_steering_weight(members)
     assert len(members[0][0]) == 32
     assert sol.status == "Optimal" and sol.iterations == 0
-    assert sol.steerable_weight <= 1e-12
+    assert sol.steerable_weight == 0.0
     assert verify_certificate(members, sol)
 
 
@@ -592,7 +604,7 @@ def test_member_data_is_computed_once_per_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", count_eigvalsh)
     sol = solve_steering_weight(members)
     assert sol.status == "Optimal" and sol.iterations == 0
-    assert sol.steerable_weight <= 1e-12
+    assert sol.steerable_weight == 0.0
     assert len(selections) == 1
     assert len(member_eigensolves) == 1
 
@@ -612,42 +624,41 @@ def test_zero_exit_proves_positive_definite_seed_without_eigensolve(
         patch.setattr(np.linalg, "eigh", no_eigensolve)
         sol = solve_steering_weight(members)
     assert sol.status == "Optimal" and sol.iterations == 0
-    assert sol.steerable_weight <= 1e-12
+    assert sol.steerable_weight == 0.0
     assert np.linalg.eigvalsh(sol.hidden_states)[:, 0].min() >= 0.0
     assert equality_residual(members, sol.hidden_states) <= 1e-12
     assert verify_certificate(members, sol)
 
 
-def _eigvalsh_route(monkeypatch, problem):
-    """The exact-zero exit with the Cholesky proof failing every time."""
-    def no_cholesky(*_):
-        raise np.linalg.LinAlgError("forced")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "cholesky", no_cholesky)
-        return sdp_problem._exact_zero_weight(problem)
-
-
-@pytest.mark.parametrize("n, points", [(5, 41), (6, 13)],
-                         ids=["n5", "n6"])
+@pytest.mark.parametrize("n, points, zeros, steerable",
+                         [(5, 41, 80, 2), (6, 13, 25, 1)], ids=["n5", "n6"])
 def test_cholesky_exit_accepts_what_the_eigvalsh_route_accepts(
-        monkeypatch, n, points):
+        n, points, zeros, steerable):
+    # on the scans' grids the one prover accepts only models that an
+    # eigvalsh floor and the strategy-by-strategy equalities re-prove, and
+    # every region it rejects has a positive interior-point or unit weight
     prop = Propagator(build_ising(n, 1.0, 0.5).matrix())
     regions = (("q1", "q2"), tuple(f"q{i}" for i in range(3, n + 1)))
+    accepted = rejected = 0
     for t in np.linspace(0.0, 40.0, points):
         choi = build_choi(prop.unitary(t))
         for region in regions:
             members = temporal_assemblage(choi, MeasurementSet.pauli(),
                                           region)
-            fast = sdp_problem._exact_zero_weight(
+            zero = sdp_problem._exact_zero_weight(
                 SteeringWeightProblem(members))
-            slow = _eigvalsh_route(monkeypatch,
-                                   SteeringWeightProblem(members))
-            assert (fast is None) == (slow is None), (t, region)
-            if fast is not None:
-                np.testing.assert_array_equal(fast.hidden_states,
-                                              slow.hidden_states)
-                assert fast.mu_star == slow.mu_star
+            if zero is None:
+                sol = solve_steering_weight(members)
+                assert sol.iterations > 0 or sol.steerable_weight == 1.0
+                assert sol.steerable_weight > 0.5, (t, region)
+                rejected += 1
+                continue
+            assert zero.mu_star == 1.0 and zero.steerable_weight == 0.0
+            floor = np.linalg.eigvalsh(zero.hidden_states)[:, 0].min()
+            assert floor >= 0.0, (t, region)
+            assert equality_residual(members, zero.hidden_states) <= 1e-12
+            accepted += 1
+    assert (accepted, rejected) == (zeros, steerable)
 
 
 def test_negative_member_rejected_before_reduction(monkeypatch):

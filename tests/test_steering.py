@@ -8,8 +8,8 @@ from qscramble.models import (build_ising, clifford_scrambler_unitary,
                               haar_random_unitary, pauli_matrix,
                               random_local_unitary)
 from qscramble.qla import DensityMatrix, Propagator, partial_trace
-from qscramble.sdp import (NumericalFailure, solve_steering_weight,
-                           verify_certificate)
+from qscramble.sdp import (NumericalFailure, SteeringWeightProblem,
+                           solve_steering_weight, verify_certificate)
 from qscramble.sdp import problem as sdp_problem
 from qscramble.steering import (MeasurementSet, minus_t3, temporal_assemblage,
                                 total_steerable_weight)
@@ -226,6 +226,35 @@ def test_partly_reduced_ipm_on_a_physical_unitary(theta):
     assert rec.tsw_c == pytest.approx(np.cos(theta), abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7], ids=lambda n: f"n={n}")
+def test_face_zero_settles_one_pauli_region(n):
+    # U = CNOT(q2 -> q1) SWAP(q1, q2): region D = {q2..qn} holds exactly
+    # one evolved q1 Pauli, so one setting is sharp and TSW_D = 0.  The
+    # least-norm model is PSD but singular, and at n = 7 the reduced Schur
+    # system is past the cap; compressed onto the strategy faces it is
+    # positive definite, which proves the zero without an IPM iteration
+    rest = "I" * (n - 2)
+    swap = sum(pauli_matrix(p + p + rest) for p in "IXYZ") / 2
+    cnot = (pauli_matrix("II" + rest) + pauli_matrix("IZ" + rest)
+            + pauli_matrix("XI" + rest) - pauli_matrix("XZ" + rest)) / 2
+    choi = build_choi(cnot @ swap)
+    region_d = system_labels(n)[1:]
+    members = temporal_assemblage(choi, MeasurementSet.pauli(), region_d)
+    sol = solve_steering_weight(members)
+    assert sol.status == "Optimal" and sol.iterations == 0
+    assert sol.mu_star == 1.0 and sol.steerable_weight == 0.0
+    problem = SteeringWeightProblem(members)
+    assert sdp_problem._exact_zero_weight(problem) is None
+    faces = problem.reduce().q_bases
+    for q, h in zip(faces, sol.hidden_states):
+        if q.shape[1]:
+            assert np.linalg.eigvalsh(q.conj().T @ h @ q)[0] >= 0.0
+    assert equality_residual(members, sol.hidden_states) <= 1e-12
+    assert verify_certificate(members, sol)
+    rec = minus_t3(choi, ("q1",), region_d)
+    assert (rec.tsw_d, rec.minus_t3, rec.status) == (0.0, 1.0, "ok")
+
+
 def test_ipm_sized_regions_keep_the_short_search(monkeypatch):
     # every region gets the same budget, MAX_ROUNDS; at t = 2 region q3 is
     # zeroed after two reflections, and the steerable region q2 q3 halves
@@ -235,7 +264,7 @@ def test_ipm_sized_regions_keep_the_short_search(monkeypatch):
 
     def spy(seed, to_null, shift, rounds):
         out = reflect(seed, to_null, shift, rounds)
-        runs.append((rounds, out[2]))
+        runs.append((rounds, out[1]))
         return out
 
     monkeypatch.setattr(sdp_problem, "_reflect", spy)
@@ -245,7 +274,7 @@ def test_ipm_sized_regions_keep_the_short_search(monkeypatch):
         solve_steering_weight(temporal_assemblage(choi, MeasurementSet.pauli(),
                                                   region))
         for region in (("q3",), ("q2", "q3"))]
-    assert zero.iterations == 0 and zero.steerable_weight <= 1e-12
+    assert zero.iterations == 0 and zero.steerable_weight == 0.0
     assert steerable.iterations > 0 and steerable.steerable_weight > 0.05
     budget, stall = sdp_problem.MAX_ROUNDS, sdp_problem.ZERO_EXIT_ROUNDS
     assert runs == [(budget, 2), (budget, 2 + stall)]
@@ -262,7 +291,7 @@ def test_exit_certifies_large_region():
     choi, region_d = _ising8_region_d(2.0)
     rec = minus_t3(choi, ("q1", "q2"), region_d)
     assert rec.status == "ok"
-    assert 0.0 <= rec.tsw_d <= 1e-12
+    assert rec.tsw_d == 0.0
     assert rec.minus_t3 == pytest.approx(
         rec.tsw_total - rec.tsw_c - rec.tsw_d, abs=1e-15)
 
@@ -279,7 +308,7 @@ def test_long_search_zeroes_region_past_the_schur_cap():
     sol = solve_steering_weight(members)
     assert members.shape == (3, 2, 64, 64)
     assert sol.status == "Optimal" and sol.iterations == 0
-    assert sol.steerable_weight <= 1e-12
+    assert sol.steerable_weight == 0.0
     assert np.linalg.eigvalsh(sol.hidden_states)[:, 0].min() >= 0.0
     assert equality_residual(members, sol.hidden_states) <= 1e-12
     assert verify_certificate(members, sol)
@@ -294,7 +323,7 @@ def test_bound_certifies_large_region():
     sol = solve_steering_weight(members)
     assert members.shape == (3, 2, 64, 64)
     assert sol.status == "Optimal"
-    assert 0.0 <= sol.steerable_weight <= 1e-12
+    assert sol.steerable_weight == 0.0
     assert np.linalg.eigvalsh(sol.hidden_states)[:, 0].min() >= 0.0
     assert equality_residual(members, sol.hidden_states) <= 1e-12
     assert verify_certificate(members, sol)
@@ -308,7 +337,7 @@ def test_minus_t3_bounds_large_region_when_exit_fails(monkeypatch):
 
     def spy(seed, to_null, shift, rounds):
         out = reflect(seed, to_null, shift, rounds)
-        runs.append((seed.shape[-1], rounds, out[2]))
+        runs.append((seed.shape[-1], rounds, out[1]))
         return out
 
     monkeypatch.setattr(sdp_problem, "_reflect", spy)
@@ -317,7 +346,7 @@ def test_minus_t3_bounds_large_region_when_exit_fails(monkeypatch):
     region_d = tuple(f"q{i}" for i in range(2, 8))
     rec = minus_t3(choi, ("q1",), region_d)
     assert rec.status == "ok" and rec.status_d == "Optimal"
-    assert 0.0 <= rec.tsw_d <= 1e-12
+    assert rec.tsw_d == 0.0
     assert rec.minus_t3 == pytest.approx(
         rec.tsw_total - rec.tsw_c - rec.tsw_d, abs=1e-15)
     long = [(rounds, ran) for d, rounds, ran in runs if d == 64]

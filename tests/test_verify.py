@@ -40,6 +40,8 @@ def _marginal_test(other_references):
 #: folded checks, each with the unit tests that now make its assertions;
 #: the acceptance criteria run undecorated so they leave no summary line
 FOLDED = [
+    ("kron index formula", _run_unit_tests(
+        qla_tests.test_kron_matches_numpy_chain)),
     ("partial trace oracle", _run_unit_tests(
         _marginal_test(False), _marginal_test(True),
         qla_tests.test_partial_trace_bell_pair,
