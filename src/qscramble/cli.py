@@ -41,7 +41,6 @@ def _add_scan_args(sub: argparse.ArgumentParser, model_choices) -> None:
     sub.add_argument("--tstart", dest="t_start", type=float, default=None)
     sub.add_argument("--tmax", dest="t_max", type=float, default=None)
     sub.add_argument("--points", type=int, default=None)
-    sub.add_argument("--sdp-tol", dest="sdp_gap_tol", type=float, default=None)
     sub.add_argument("--jobs", type=int, default=None,
                      help="worker processes for the time grid")
     sub.add_argument("--unitary-file", default=None,
@@ -124,8 +123,7 @@ def cmd_sweep(args) -> int:
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     entries = size_sweep(args.family, sizes, partition=partition,
-                         points=args.points, seed=args.seed, jobs=args.jobs,
-                         sdp_gap_tol=args.sdp_gap_tol)
+                         points=args.points, seed=args.seed, jobs=args.jobs)
     rows = []
     for e in entries:
         if args.out_dir:
@@ -195,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, default=200)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--jobs", type=int, default=1)
-    sweep.add_argument("--sdp-tol", dest="sdp_gap_tol", type=float,
-                       default=1e-7)
     sweep.add_argument("--out-dir", default=None,
                        help="directory for per-size CSV files")
     sweep.add_argument("--json", action="store_true")

@@ -25,8 +25,11 @@ from .models import build_ising, build_syk, clifford_scan_unitary
 from .channels import PartitionSpec, build_choi, tripartite_mutual_information
 from .steering import MeasurementSet, minus_t3
 
-CSV_HEADER = ["t", "minusI3", "minusT3", "IAC", "IAD",
-              "TSWC", "TSWD", "TSWtot", "status"]
+#: numeric CSV columns in file order -> ScanRow fields; status ends a row
+CSV_COLUMNS = {"t": "t", "minusI3": "minus_i3", "minusT3": "minus_t3",
+               "IAC": "i_ac", "IAD": "i_ad", "TSWC": "tsw_c", "TSWD": "tsw_d",
+               "TSWtot": "tsw_tot"}
+CSV_HEADER = [*CSV_COLUMNS, "status"]
 
 #: default scan horizons, in units of the model's coupling
 SPIN_T_MAX = 40.0
@@ -48,7 +51,6 @@ class ExperimentConfig:
     t_max: float = 0.0     # 0: model default horizon
     points: int = 200
     measurements: str = "xyz"
-    sdp_gap_tol: float = 1e-7
     unitary_file: Optional[str] = None
     jobs: int = 1
 
@@ -72,9 +74,6 @@ class ExperimentConfig:
             raise ValueError("points must be at least 2")
         if self.t_start < 0:
             raise ValueError("t_start must be nonnegative")
-        if not (math.isfinite(self.sdp_gap_tol) and self.sdp_gap_tol > 0):
-            raise ValueError("sdp_gap_tol must be a positive finite number, "
-                             f"got {self.sdp_gap_tol}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -142,9 +141,8 @@ class ScanRow:
     status: str = "ok"
 
     def csv_fields(self) -> List[str]:
-        nums = [self.t, self.minus_i3, self.minus_t3, self.i_ac, self.i_ad,
-                self.tsw_c, self.tsw_d, self.tsw_tot]
-        return [f"{v:.12g}" for v in nums] + [self.status]
+        return [f"{getattr(self, attr):.12g}"
+                for attr in CSV_COLUMNS.values()] + [self.status]
 
 
 @dataclass
@@ -157,9 +155,7 @@ class ScramblingReport:
         return np.array([r.t for r in self.rows])
 
     def column(self, name: str) -> np.ndarray:
-        attr = {"minusI3": "minus_i3", "minusT3": "minus_t3", "IAC": "i_ac",
-                "IAD": "i_ad", "TSWC": "tsw_c", "TSWD": "tsw_d",
-                "TSWtot": "tsw_tot", "t": "t"}[name]
+        attr = CSV_COLUMNS[name]
         return np.array([getattr(r, attr) for r in self.rows])
 
     def to_csv(self, path: Optional[str] = None) -> str:
@@ -193,10 +189,11 @@ class ScramblingReport:
                     raise ValueError(f"{where}: expected "
                                      f"{len(CSV_HEADER)} fields, got {len(rec)}")
                 try:
-                    vals = [float(v) for v in rec[:8]]
+                    vals = {attr: float(v)
+                            for attr, v in zip(CSV_COLUMNS.values(), rec)}
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from exc
-                rows.append(ScanRow(*vals, status=rec[8]))
+                rows.append(ScanRow(**vals, status=rec[-1]))
         return cls(config or ExperimentConfig(), rows)
 
 
@@ -248,12 +245,11 @@ def save_unitary_file(path: str, unitary: np.ndarray) -> None:
 
 
 def _witness_row(t: float, unitary: np.ndarray, partition: PartitionSpec,
-                 ms: MeasurementSet, gap_tol: float) -> ScanRow:
+                 ms: MeasurementSet) -> ScanRow:
     choi = build_choi(unitary)
     tmi = tripartite_mutual_information(choi, partition)
     try:
-        rec = minus_t3(choi, partition.region_c, partition.region_d,
-                       measurements=ms, gap_tol=gap_tol)
+        rec = minus_t3(choi, partition.region_c, partition.region_d, ms)
     except Exception as exc:
         nan = float("nan")
         return ScanRow(t, tmi.minus_i3, nan, tmi.i_ac, tmi.i_ad,
@@ -265,8 +261,7 @@ def _witness_row(t: float, unitary: np.ndarray, partition: PartitionSpec,
 def _scan_row(config: ExperimentConfig, unitary_of: Callable,
               t: float) -> ScanRow:
     partition = PartitionSpec.leading(config.n, config.resolved_n_c())
-    return _witness_row(t, unitary_of(t), partition, config.measurement_set,
-                        config.sdp_gap_tol)
+    return _witness_row(t, unitary_of(t), partition, config.measurement_set)
 
 
 _worker_state: Dict = {}
@@ -401,8 +396,7 @@ class SweepEntry:
 
 def size_sweep(family: str, sizes: Sequence[int] = (3, 4, 5, 8),
                partition=None, points: int = 200, seed: int = 0,
-               jobs: int = 1, sdp_gap_tol: float = 1e-7,
-               progress=None) -> List[SweepEntry]:
+               jobs: int = 1, progress=None) -> List[SweepEntry]:
     """Backflow of both witnesses across system sizes for one family.
 
     ``family`` is "integrable" (transverse-field chain), "chaotic"
@@ -427,8 +421,7 @@ def size_sweep(family: str, sizes: Sequence[int] = (3, 4, 5, 8),
         else:
             n_c = int(partition)
         config = ExperimentConfig(n=n, n_c=n_c, points=points, seed=seed,
-                                  jobs=jobs, sdp_gap_tol=sdp_gap_tol,
-                                  **presets[family])
+                                  jobs=jobs, **presets[family])
         report = run_scan(config, progress=progress)
         entries.append(SweepEntry(
             n, config.resolved_n_c(),

@@ -32,8 +32,7 @@ class FirstOrderResult:
 
 
 def first_order_steering_weight(members, tol: float = 1e-10,
-                                max_iter: int = 200000,
-                                step: float = 1.0) -> FirstOrderResult:
+                                max_iter: int = 200000) -> FirstOrderResult:
     """Steerable weight by projected splitting on the unreduced primal.
 
     ``members`` is validated exactly as :func:`solve_steering_weight`
@@ -66,14 +65,14 @@ def first_order_steering_weight(members, tol: float = 1e-10,
     it = 0
     check_every = 25
     for it in range(1, max_iter + 1):
-        y = proj_affine(s_mat - step * c_mat)
+        y = proj_affine(s_mat - c_mat)
         u = proj_cone(2.0 * y - s_mat)
         s_mat += u - y
         if it % check_every == 0:
             residual = float(np.linalg.norm(u - y) / (1.0 + np.linalg.norm(y)))
             if residual <= tol:
                 break
-    y = proj_affine(s_mat - step * c_mat)
+    y = proj_affine(s_mat - c_mat)
     mu = float(-np.vdot(c_mat, y).real)
     return FirstOrderResult(float(min(1.0, max(0.0, 1.0 - mu))), mu,
                             residual, it, residual <= tol)

@@ -26,8 +26,13 @@ the Schur assembly see the same blocks as a per-block list of views.
 The Schur system is solved with NumPy alone: :func:`cho_factor` is one
 LAPACK Cholesky factorization plus the inverses of the factor's 32-row
 diagonal blocks, and :func:`cho_solve` is blocked forward and back
-substitution made of matrix-vector products.  A factorization that
-fails is retried once on the Schur matrix with a small diagonal shift.
+substitution made of matrix-vector products.  A Schur factorization
+that fails is retried once with a small diagonal shift.  A second
+failure, a failed Cholesky factorization of an accepted iterate, a
+singular NT scaling or a step that no backtracking makes PSD ends the
+solve as ``NumericalFailure`` with the last accepted iterate.  The stop
+rule is fixed: ``Optimal`` means both relative infeasibilities within
+``FEAS_TOL`` and the relative gap within ``GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ import numpy as np
 
 from ._kernels import congruence_rep, smat, svec
 
-DEFAULT_GAP_TOL = 1e-7
-DEFAULT_FEAS_TOL = 1e-8
+GAP_TOL = 1e-7
+FEAS_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 _STEP_FRACTION = 0.98
 _BACKTRACK_ROUNDS = 40
@@ -126,31 +131,6 @@ def cho_solve(factor: Tuple[np.ndarray, np.ndarray],
     return y
 
 
-def _chol_psd(mat: np.ndarray) -> np.ndarray:
-    """Cholesky with a tiny escalating jitter fallback."""
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        pass
-    n = mat.shape[0]
-    base = max(np.trace(mat).real / n, 1.0)
-    for k in range(3):
-        jitter = base * 10.0 ** (-14 + 2 * k)
-        try:
-            return np.linalg.cholesky(mat + jitter * np.eye(n))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalFailure("cone block lost positive definiteness")
-
-
-def _chol_stack(stack: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a stack; the jitter ladder block by block if any fails."""
-    try:
-        return np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        return np.stack([_chol_psd(m) for m in stack])
-
-
 def _step_length(l_inv: Sequence[np.ndarray],
                  delta: Sequence[np.ndarray]) -> float:
     """Largest alpha with X + alpha * delta PSD in every block.
@@ -196,33 +176,31 @@ class _Stacks:
 class ConicSolver:
     """Holds problem data plus reusable buffers across iterations."""
 
-    def __init__(self, var_sizes, con_sizes, c_blocks, b_blocks, rows):
-        self.var_sizes = list(var_sizes)
-        self.con_sizes = list(con_sizes)
+    def __init__(self, c_blocks, b_blocks, rows):
         self.c = [np.asarray(m, dtype=complex) for m in c_blocks]
         self.b = [np.asarray(m, dtype=complex) for m in b_blocks]
         self.rows = [[(k, None if a is None else np.asarray(a, dtype=complex))
                       for k, a in row] for row in rows]
         # reverse index: variable -> [(row, A)]
         self.var_rows: List[List[Tuple[int, Optional[np.ndarray]]]] = \
-            [[] for _ in self.var_sizes]
+            [[] for _ in self.c]
         for r, row in enumerate(self.rows):
             for k, a in row:
                 self.var_rows[k].append((r, a))
         # svec offsets of the constraint rows inside the Schur matrix
-        self.offsets = np.concatenate([[0], np.cumsum([s * s for s in self.con_sizes])])
+        self.offsets = np.concatenate([[0], np.cumsum([m.size for m in self.b])])
         self.p = int(self.offsets[-1])
         # congruence representations of the fixed A maps (None = identity)
         self.reps: List[List[Optional[np.ndarray]]] = \
-            [[None if a is None else congruence_rep(a) for _, a in self.var_rows[k]]
-             for k in range(len(self.var_sizes))]
+            [[None if a is None else congruence_rep(a) for _, a in entries]
+             for entries in self.var_rows]
         self._schur = np.zeros((self.p, self.p))
 
     # -- linear operators ------------------------------------------------
     def aop(self, x: Sequence[np.ndarray]) -> List[np.ndarray]:
         out = []
         for r, row in enumerate(self.rows):
-            acc = np.zeros((self.con_sizes[r], self.con_sizes[r]), dtype=complex)
+            acc = np.zeros_like(self.b[r])
             for k, a in row:
                 acc += x[k] if a is None else a @ x[k] @ a.conj().T
             out.append(acc)
@@ -230,9 +208,9 @@ class ConicSolver:
 
     def aadj(self, y: Sequence[np.ndarray]) -> List[np.ndarray]:
         out = []
-        for k in range(len(self.var_sizes)):
-            acc = np.zeros((self.var_sizes[k], self.var_sizes[k]), dtype=complex)
-            for r, a in self.var_rows[k]:
+        for c, entries in zip(self.c, self.var_rows):
+            acc = np.zeros_like(c)
+            for r, a in entries:
                 acc += y[r] if a is None else a.conj().T @ y[r] @ a
             out.append(acc)
         return out
@@ -263,26 +241,23 @@ class ConicSolver:
         return np.concatenate([svec(m) for m in mats])
 
     def smat_rows(self, vec: np.ndarray) -> List[np.ndarray]:
-        out = []
-        for r, s in enumerate(self.con_sizes):
-            out.append(smat(vec[self.offsets[r]:self.offsets[r + 1]], s))
-        return out
+        return [smat(vec[self.offsets[r]:self.offsets[r + 1]], len(m))
+                for r, m in enumerate(self.b)]
 
 
-def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
-                gap_tol: float = DEFAULT_GAP_TOL,
+def solve_conic(c_blocks, b_blocks, rows,
                 max_iter: int = DEFAULT_MAX_ITER,
                 callback=None) -> ConicResult:
     """Run the predictor-corrector iteration to convergence: both
-    infeasibilities within ``DEFAULT_FEAS_TOL`` and the relative gap
-    within ``gap_tol``."""
-    prob = ConicSolver(var_sizes, con_sizes, c_blocks, b_blocks, rows)
-    blocks = _Stacks(prob.var_sizes)
-    nu = float(sum(prob.var_sizes))
+    infeasibilities within ``FEAS_TOL`` and the relative gap within
+    ``GAP_TOL``.  Block sizes are read off ``c_blocks`` and ``b_blocks``."""
+    prob = ConicSolver(c_blocks, b_blocks, rows)
+    blocks = _Stacks([len(m) for m in prob.c])
+    nu = float(sum(len(m) for m in prob.c))
     c = blocks.stack(prob.c)
     x = [np.tile(np.eye(m.shape[-1], dtype=complex), (len(m), 1, 1)) for m in c]
     z = [m.copy() for m in x]
-    y = [np.zeros((s, s), dtype=complex) for s in prob.con_sizes]
+    y = [np.zeros_like(m) for m in prob.b]
 
     b_norm = 1.0 + np.sqrt(sum(np.linalg.norm(m) ** 2 for m in prob.b))
     c_norm = 1.0 + np.sqrt(sum(np.linalg.norm(m) ** 2 for m in prob.c))
@@ -302,9 +277,9 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
     stall = 0
     for it in range(1, max_iter + 1):
         try:
-            lx = [_chol_stack(m) for m in x]
-            lz = [_chol_stack(m) for m in z]
-        except NumericalFailure:
+            lx = [np.linalg.cholesky(m) for m in x]
+            lz = [np.linalg.cholesky(m) for m in z]
+        except np.linalg.LinAlgError:
             status = "NumericalFailure"
             break
         # NT scaling per stack: x = R diag(sig) R^dag, z = R^-dag diag(sig) R^-1
@@ -330,8 +305,7 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
         history.append((pinf, dinf, rel_gap))
         if callback is not None:
             callback(it, pinf, dinf, rel_gap, mu)
-        if pinf <= DEFAULT_FEAS_TOL and dinf <= DEFAULT_FEAS_TOL \
-                and rel_gap <= gap_tol:
+        if pinf <= FEAS_TOL and dinf <= FEAS_TOL and rel_gap <= GAP_TOL:
             status = "Optimal"
             break
         if mu < best_mu * 0.9999:
@@ -414,8 +388,8 @@ def solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
     dobj = _inner(prob.b, y)
     abs_gap = _inner(x, z)
     rel_gap = abs_gap / (1.0 + abs(pobj) + abs(dobj))
-    if status != "Optimal" and pinf <= DEFAULT_FEAS_TOL \
-            and dinf <= DEFAULT_FEAS_TOL and rel_gap <= gap_tol:
+    if status != "Optimal" and pinf <= FEAS_TOL and dinf <= FEAS_TOL \
+            and rel_gap <= GAP_TOL:
         status = "Optimal"
     return ConicResult(blocks.unstack(x), y, blocks.unstack(z), pobj, dobj,
                        rel_gap, abs_gap, pinf, dinf, it, status, history)

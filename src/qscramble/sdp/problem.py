@@ -266,16 +266,17 @@ def _embedding(pi: np.ndarray, q: np.ndarray) -> Optional[np.ndarray]:
     return pi.conj().T @ q
 
 
-def solve_steering_weight(members,
-                          gap_tol: float = ipm.DEFAULT_GAP_TOL) -> SdpSolution:
+def solve_steering_weight(members) -> SdpSolution:
     """Steerable weight of an assemblage, by the first exit that settles it.
 
     ``members`` is a ``(settings, outcomes, d, d)`` array or the same
     nested as lists.  In order: the exact zero, facial reduction with the
     exact unit weight and the face zero (all ``iterations == 0``), and
-    the interior-point solve.  A reduced Schur system past the memory cap
-    raises :class:`ipm.NumericalFailure`.  Returns an
-    :class:`SdpSolution`; the weight itself is ``solution.steerable_weight``.
+    the interior-point solve, whose status, such as ``NumericalFailure``,
+    labels a solve that misses its fixed stop rule.  A reduced Schur
+    system past the memory cap raises :class:`ipm.NumericalFailure`.
+    Returns an :class:`SdpSolution`; the weight itself is
+    ``solution.steerable_weight``.
     """
     problem = SteeringWeightProblem(members)
     zero = _exact_zero_weight(problem)
@@ -293,8 +294,7 @@ def solve_steering_weight(members,
             return zero
 
     kept = [r for r, pi in enumerate(red.pis) if pi.shape[1]]
-    con_sizes = [red.pis[r].shape[1] for r in kept]
-    schur_dim = sum(s * s for s in con_sizes)
+    schur_dim = sum(red.pis[r].shape[1] ** 2 for r in kept)
     if schur_dim ** 2 * 8 > _SCHUR_BYTE_CAP:
         raise ipm.NumericalFailure(
             f"Schur system {schur_dim}x{schur_dim} needs "
@@ -305,8 +305,8 @@ def solve_steering_weight(members,
     # conic blocks: one per surviving strategy, then one slack per kept
     # member; row r reads sum_{lam selects r} sigma_lam + slack_r = sigma_r
     strat_pos = {lam: pos for pos, lam in enumerate(survivors)}
-    var_sizes = [red.q_bases[lam].shape[1] for lam in survivors]
-    c_blocks = [-np.eye(s, dtype=complex) for s in var_sizes]
+    c_blocks = [-np.eye(red.q_bases[lam].shape[1], dtype=complex)
+                for lam in survivors]
     b_blocks, rows = [], []
     for r in kept:
         pi, m = red.pis[r], problem.flat[r]
@@ -315,11 +315,9 @@ def solve_steering_weight(members,
                      if lam in strat_pos]
                     + [(len(survivors) + len(b_blocks), None)])
         b_blocks.append(pi.conj().T @ m @ pi)
-    var_sizes += con_sizes
-    c_blocks += [np.zeros((s, s), dtype=complex) for s in con_sizes]
+    c_blocks += [np.zeros_like(m) for m in b_blocks]
 
-    res = ipm.solve_conic(var_sizes, con_sizes, c_blocks, b_blocks, rows,
-                          gap_tol=gap_tol)
+    res = ipm.solve_conic(c_blocks, b_blocks, rows)
 
     mu = float(sum(np.trace(h).real for h in res.x[:len(survivors)]))
     hidden = np.zeros((len(red.q_bases), d, d), dtype=complex)

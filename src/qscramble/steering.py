@@ -35,14 +35,14 @@ weight with a dual certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .channels import ChoiState, system_labels
 from .models import pauli_matrix
 from .sdp import solve_steering_weight
-from .sdp.ipm import DEFAULT_GAP_TOL, NumericalFailure
+from .sdp.ipm import NumericalFailure
 
 _PAULI_BY_AXIS = {"x": pauli_matrix("X"), "y": pauli_matrix("Y"),
                   "z": pauli_matrix("Z")}
@@ -145,11 +145,10 @@ def temporal_assemblage(choi: ChoiState, measurements: MeasurementSet,
                      rho.reshape(2, dim, 2, dim))
 
 
-_TSW_TOTAL_CACHE: Dict[Tuple[bytes, float], float] = {}
+_TSW_TOTAL_CACHE: Dict[bytes, float] = {}
 
 
-def total_steerable_weight(measurements: MeasurementSet,
-                           gap_tol: float = DEFAULT_GAP_TOL) -> float:
+def total_steerable_weight(measurements: MeasurementSet) -> float:
     """TSW of the assemblage on the *entire* register, any unitary.
 
     Equal to the single-qubit weight of {E_{a|x} / 2}: the global unitary
@@ -162,10 +161,10 @@ def total_steerable_weight(measurements: MeasurementSet,
     so two valid shapes never share them.
     """
     effects = measurements.effects
-    key = (effects.tobytes(), gap_tol)
+    key = effects.tobytes()
     if key not in _TSW_TOTAL_CACHE:
         _TSW_TOTAL_CACHE[key] = solve_steering_weight(
-            effects / 2.0, gap_tol=gap_tol).steerable_weight
+            effects / 2.0).steerable_weight
     return _TSW_TOTAL_CACHE[key]
 
 
@@ -189,8 +188,7 @@ class WitnessRecord:
 
 def minus_t3(choi: ChoiState, region_c: Sequence[str],
              region_d: Sequence[str],
-             measurements: Optional[MeasurementSet] = None,
-             gap_tol: float = DEFAULT_GAP_TOL) -> WitnessRecord:
+             measurements: Optional[MeasurementSet] = None) -> WitnessRecord:
     """Temporal-steering scrambling witness of a unitary's Choi state.
 
     -T3 = TSW[total] - TSW[C] - TSW[D] for the measure-then-evolve
@@ -198,18 +196,20 @@ def minus_t3(choi: ChoiState, region_c: Sequence[str],
     read off ``choi`` by :func:`temporal_assemblage`.  Each region's
     weight is one :func:`solve_steering_weight` call, which takes the
     first of its exits that settles the region: the exact zero, the exact
-    unit weight or the interior-point SDP.  A region past the solver's
-    Schur-memory cap that the exact zero cannot settle raises
+    unit weight, the face zero or the interior-point SDP.  An IPM solve
+    that ends short of its stop rule keeps its weight and labels the
+    record, as in ``C:Optimal/D:NumericalFailure``.  A region past the
+    solver's Schur-memory cap that no zero settles raises
     :class:`NumericalFailure` naming the region.  Every weight depends on
     this Choi state alone, never on earlier calls.
     """
     ms = measurements or MeasurementSet.pauli()
-    tsw_tot = total_steerable_weight(ms, gap_tol=gap_tol)
+    tsw_tot = total_steerable_weight(ms)
     parts = {}
     for name, region in (("C", region_c), ("D", region_d)):
         members = temporal_assemblage(choi, ms, region)
         try:
-            parts[name] = solve_steering_weight(members, gap_tol=gap_tol)
+            parts[name] = solve_steering_weight(members)
         except NumericalFailure as exc:
             raise NumericalFailure(f"region {name}: {exc}") from exc
     c, d = parts["C"], parts["D"]

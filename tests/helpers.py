@@ -7,6 +7,7 @@ from qscramble.channels import (PartitionSpec, build_choi,
                                 tripartite_mutual_information)
 from qscramble.experiments import (ExperimentConfig, ScanRow,
                                    ScramblingReport, model_propagator)
+from qscramble.models import pauli_matrix
 from qscramble.sdp.strategies import enumerate_strategies
 
 I2 = np.eye(2, dtype=complex)
@@ -178,3 +179,71 @@ def swap_network(n, pairs):
     mat = np.zeros((dim, dim), dtype=complex)
     mat[dst, src] = 1.0
     return mat
+
+
+def random_clifford(n, rng):
+    """Random Clifford circuit of 4n gates drawn from {H, S, CNOT}.
+
+    Gates are ``("H", q)``, ``("S", q)`` or ``("CNOT", control, target)``
+    with 0-based qubit indices, qubit 0 being q1; the first gate acts
+    first.  Pass the list to :func:`clifford_unitary` for its matrix.
+    """
+    gates = []
+    for _ in range(4 * n):
+        kind = ("H", "S", "CNOT")[rng.integers(3)]
+        qubits = rng.choice(n, 2 if kind == "CNOT" else 1, replace=False)
+        gates.append((kind, *(int(q) for q in qubits)))
+    return gates
+
+
+def _pauli_on(n, letters):
+    """Dense n-qubit Pauli string with ``letters`` {qubit index: letter}."""
+    return pauli_matrix("".join(letters.get(q, "I") for q in range(n)))
+
+
+def clifford_unitary(n, gates):
+    """Dense unitary of a :func:`random_clifford` gate list, n <= 8."""
+    u = np.eye(1 << n, dtype=complex)
+    for kind, *q in gates:
+        if kind == "H":
+            g = (_pauli_on(n, {q[0]: "X"}) + _pauli_on(n, {q[0]: "Z"})) \
+                / np.sqrt(2)
+        elif kind == "S":  # diag(1, i) = ((1 + i) I + (1 - i) Z) / 2
+            g = ((1 + 1j) * np.eye(1 << n)
+                 + (1 - 1j) * _pauli_on(n, {q[0]: "Z"})) / 2
+        else:  # |0><0| x I + |1><1| x X = (I + Z_c + X_t - Z_c X_t) / 2
+            c, t = q
+            g = (np.eye(1 << n) + _pauli_on(n, {c: "Z"})
+                 + _pauli_on(n, {t: "X"}) - _pauli_on(n, {c: "Z", t: "X"})) / 2
+        u = g @ u
+    return u
+
+
+def surviving_q1_paulis(n, gates, region):
+    """How many of X1, Y1, Z1 the circuit maps into Pauli strings acting
+    only on ``region`` (labels such as "q3"), so that they survive the
+    partial trace onto it: 0, 1 or 3.
+
+    Pauli propagation on (x, z) bit vectors, signs dropped, with no 2^n
+    matrix: H swaps x and z, S adds x to z, CNOT(c, t) adds x_c to x_t and
+    z_t to z_c.  The image of Y1 is the product of those of X1 and Z1.
+    """
+    images = []
+    for x0, z0 in ((True, False), (False, True)):
+        x, z = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        x[0], z[0] = x0, z0
+        for kind, *q in gates:
+            if kind == "H":
+                x[q[0]], z[q[0]] = z[q[0]], x[q[0]]
+            elif kind == "S":
+                z[q[0]] ^= x[q[0]]
+            else:
+                c, t = q
+                x[t] ^= x[c]
+                z[c] ^= z[t]
+        images.append((x, z))
+    (xx, zx), (xz, zz) = images
+    outside = np.ones(n, dtype=bool)
+    outside[[int(label[1:]) - 1 for label in region]] = False
+    return sum(not ((x | z) & outside).any()
+               for x, z in ((xx, zx), (xx ^ xz, zx ^ zz), (xz, zz)))

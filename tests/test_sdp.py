@@ -18,7 +18,7 @@ from qscramble.sdp import (NumericalFailure, SteeringWeightProblem,
 from qscramble.sdp import _kernels, ipm
 from qscramble.sdp import problem as sdp_problem
 from qscramble.sdp.strategies import enumerate_strategies, selection
-from qscramble.steering import MeasurementSet, temporal_assemblage
+from qscramble.steering import MeasurementSet, minus_t3, temporal_assemblage
 
 # steering a Bell pair through white noise of visibility eta and measuring
 # along m mutually unbiased axes has weight (sqrt(m) eta - 1)/(sqrt(m) - 1)
@@ -92,6 +92,18 @@ def test_certificate_checks_and_tampering_fails():
     assert not verify_certificate(members,
                                   dataclasses.replace(sol,
                                                       dual_certificate=None))
+    # one tampering per remaining rejection, each passing the checks
+    # before it: a missing setting, a Hermiticity defect far above
+    # 1e-8 s, and an eigenvalue of -1e-3 in F_{0|0}
+    cert = np.asarray(sol.dual_certificate)
+    skew, negative = cert.copy(), cert.copy()
+    skew[0, 0, 0, 1] += 1e-3
+    w, v = np.linalg.eigh(cert[0, 0])
+    negative[0, 0] -= (w[0] + 1e-3) * np.outer(v[:, 0], v[:, 0].conj())
+    assert np.linalg.eigvalsh(negative[0, 0])[0] == pytest.approx(-1e-3)
+    for tampered in (cert[:2], skew, negative):
+        assert not verify_certificate(
+            members, dataclasses.replace(sol, dual_certificate=tampered))
 
 
 def test_validation_rejects_malformed_assemblages():
@@ -376,8 +388,8 @@ def test_solve_with_blocks_of_several_sizes(monkeypatch):
     calls = _capture_conic_calls(monkeypatch)
     members = mixed_rank_assemblage(0.2)
     sol = solve_steering_weight(members)
-    (var_sizes, *_), _, _ = calls[0]
-    assert sorted(set(var_sizes)) == [1, 2, 3]
+    (c_blocks, *_), _, _ = calls[0]
+    assert sorted({len(c) for c in c_blocks}) == [1, 2, 3]
     assert sol.reduced and not sol.eliminated
     assert sol.status == "Optimal"
     assert verify_certificate(members, sol)
@@ -410,6 +422,57 @@ def test_backtracking_exhaustion_keeps_last_accepted_iterate(monkeypatch):
         np.testing.assert_array_equal(got, want)
     for got, want in zip(res.y, reference.y):
         np.testing.assert_array_equal(got, want)
+
+
+def test_failed_iterate_factorization_ends_the_solve(monkeypatch):
+    # from the third iteration on, the Cholesky factorization of every x
+    # and z stack fails; the 2-D Schur factorizations are left alone.
+    # The solve ends there with the last accepted iterate, as backtracking
+    # exhaustion does, and the witness row carries the label
+    calls = _capture_conic_calls(monkeypatch)
+    solve_steering_weight(mixed_rank_assemblage(0.2))
+    monkeypatch.undo()
+    args, _, _ = calls[0]
+    reference = ipm.solve_conic(*args, max_iter=2)
+    assert reference.status == "MaxIterations"
+
+    real_cholesky, real_solve = np.linalg.cholesky, ipm.solve_conic
+    iteration = [0]
+
+    def track(it, *_):
+        iteration[0] = it
+
+    def flaky(mat):
+        if mat.ndim == 3 and iteration[0] >= 2:
+            raise np.linalg.LinAlgError("injected")
+        return real_cholesky(mat)
+
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    res = real_solve(*args, max_iter=50, callback=track)
+    assert res.status == "NumericalFailure"
+    assert res.iterations == 3
+    for got, want in zip(res.x + res.z + res.y,
+                         reference.x + reference.z + reference.y):
+        np.testing.assert_array_equal(got, want)
+
+    def faulty_solve(*args, **kwargs):
+        # the fault starts over with each solve and stays out of the
+        # exact-zero proofs between solves
+        try:
+            return real_solve(*args, callback=track, **kwargs)
+        finally:
+            iteration[0] = 0
+
+    iteration[0] = 0
+    monkeypatch.setattr(ipm, "solve_conic", faulty_solve)
+    # U = exp(-i theta Z2 X3 / 2) SWAP(q1, q2) at theta = 0.3: region C
+    # needs the IPM, region D = {q3} is an exact zero
+    rot = (np.cos(0.15) * np.eye(8) - 1j * np.sin(0.15) * pauli_matrix("IZX"))
+    rec = minus_t3(build_choi(rot @ swap_network(3, [(1, 2)])),
+                   ("q1", "q2"), ("q3",))
+    assert rec.status == "C:NumericalFailure/D:Optimal"
+    assert 0.0 < rec.tsw_c < 1.0 and rec.tsw_d == 0.0
+    assert rec.minus_t3 == rec.tsw_total - rec.tsw_c - rec.tsw_d
 
 
 @pytest.mark.parametrize("p", [1, 31, 32, 33, 96, 100])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import (PZ, equality_residual, evolve_sandwich,
-                     isotropic_assemblage, swap_network)
-from qscramble.channels import PartitionSpec, build_choi, system_labels
+from helpers import (PZ, clifford_unitary, equality_residual,
+                     evolve_sandwich, isotropic_assemblage, random_clifford,
+                     surviving_q1_paulis, swap_network)
+from qscramble.channels import (PartitionSpec, build_choi, system_labels,
+                                tripartite_mutual_information)
 from qscramble.models import (build_ising, clifford_scrambler_unitary,
                               haar_random_unitary, pauli_matrix,
                               random_local_unitary)
@@ -253,6 +255,39 @@ def test_face_zero_settles_one_pauli_region(n):
     assert verify_certificate(members, sol)
     rec = minus_t3(choi, ("q1",), region_d)
     assert (rec.tsw_d, rec.minus_t3, rec.status) == (0.0, 1.0, "ok")
+
+
+def test_clifford_witnesses_match_pauli_propagation():
+    # a Clifford U maps each q1 Pauli to one Pauli string, which survives
+    # on a region only when it acts on that region alone.  k_R of X1, Y1,
+    # Z1 survive on R (0, 1 or 3): k_R = 3 carries a whole qubit, TSW_R = 1
+    # and I(A:R) = 2 bits; k_R = 1 is one sharp setting, TSW_R = 0 and 1
+    # bit; k_R = 0 leaves nothing.  Every weight is an exact exit
+    rng = np.random.default_rng(11)
+    cases = [(n, n_c, random_clifford(n, rng))
+             for n, n_c, count in ((4, 2, 20), (5, 2, 20), (6, 2, 20),
+                                   (7, 2, 20), (7, 1, 10))
+             for _ in range(count)]
+    # SWAP(q1, q3) as three CNOTs moves the q1 Paulis into D = {q3, q4}
+    cases.append((4, 2, [("CNOT", 0, 2), ("CNOT", 2, 0), ("CNOT", 0, 2)]))
+    info_bits = {0: 0.0, 1: 1.0, 3: 2.0}
+    pairs = {}
+    for n, n_c, gates in cases:
+        part = PartitionSpec.leading(n, n_c)
+        k_c = surviving_q1_paulis(n, gates, part.region_c)
+        k_d = surviving_q1_paulis(n, gates, part.region_d)
+        pairs[k_c, k_d] = pairs.get((k_c, k_d), 0) + 1
+        choi = build_choi(clifford_unitary(n, gates))
+        rec = minus_t3(choi, part.region_c, part.region_d)
+        assert rec.status == "ok"
+        assert (rec.tsw_c, rec.tsw_d) == (float(k_c == 3), float(k_d == 3))
+        assert rec.minus_t3 == 1.0 - (k_c == 3) - (k_d == 3)
+        tmi = tripartite_mutual_information(choi, part)
+        assert tmi.minus_i3 == pytest.approx(
+            2.0 - info_bits[k_c] - info_bits[k_d], abs=1e-12)
+    # every (k_C, k_D) class is met; two (0, 1) regions D have d = 64
+    assert pairs == {(0, 0): 32, (1, 0): 38, (0, 1): 11, (3, 0): 9,
+                     (0, 3): 1}
 
 
 def test_ipm_sized_regions_keep_the_short_search(monkeypatch):
